@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -26,14 +25,11 @@ from .ranking import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    RankVector,
     TwoDRanking,
     pagerank,
 )
-from .spamfilter import (
-    filter_links_by_prob,
-    filter_links_by_rank,
-    measure_fraction_curve,
-)
+from .spamfilter import FilterConfig, filtered_cheirank, measure_fraction_curve
 from .stats import (
     component_histogram,
     correlator,
@@ -61,23 +57,6 @@ class _Parser(argparse.ArgumentParser):
     # raise instead of argparse's SystemExit(2): usage problems exit 1
     def error(self, message):  # noqa: A003
         raise UsageError(message)
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
-        return args.threads
-    env = os.environ.get("CHEI2D_THREADS", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise UsageError(f"CHEI2D_THREADS is not an integer: {env!r}") from None
-        if value < 1:
-            raise UsageError("CHEI2D_THREADS must be >= 1")
-        return value
-    return os.cpu_count() or 1
 
 
 def _jsonable(value):
@@ -140,14 +119,23 @@ def _iteration_meta(ranking: TwoDRanking) -> dict:
     }
 
 
-def _rank_params(args, threads) -> dict:
-    return {
-        "alpha": args.alpha,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-        "threads": threads,
-        "seed": args.seed,
-    }
+def _rank_params(args) -> dict:
+    return {"alpha": args.alpha, "tol": args.tol, "max_iter": args.max_iter}
+
+
+def _convergence_exit(vectors: dict[str, RankVector]) -> int:
+    """EXIT_WARN after a warning naming each vector that did not converge,
+    with its last residual and iteration count; EXIT_OK if all did."""
+    stalled = [
+        f"{name} (residual {v.residual:.3g} after {v.iterations_used} iterations)"
+        for name, v in vectors.items()
+        if not v.converged
+    ]
+    if not stalled:
+        return EXIT_OK
+    print("warning: power iteration did not converge: " + "; ".join(stalled),
+          file=sys.stderr)
+    return EXIT_WARN
 
 
 # -- commands ----------------------------------------------------------------
@@ -155,15 +143,12 @@ def _rank_params(args, threads) -> dict:
 
 def cmd_rank(args, argv) -> int:
     started = time.perf_counter()
-    threads = _threads(args)
     g = read_edge_list(
         args.input, weighted=args.weighted, drop_self_loops=args.drop_self_loops
     )
-    ranking = TwoDRanking.compute(
-        g, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter, threads=threads
-    )
+    ranking = TwoDRanking.compute(g, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
     out = _out_dir(args)
-    params = _rank_params(args, threads) | {
+    params = _rank_params(args) | {
         "input": str(args.input),
         "weighted": args.weighted,
         "drop_self_loops": args.drop_self_loops,
@@ -177,10 +162,7 @@ def cmd_rank(args, argv) -> int:
         | {"node_count": g.node_count, "link_count": g.link_count},
         started=started,
     )
-    converged = ranking.pagerank.converged and ranking.cheirank.converged
-    if not converged:
-        print("warning: power iteration did not converge", file=sys.stderr)
-    return EXIT_OK if converged else EXIT_WARN
+    return _convergence_exit({"pagerank": ranking.pagerank, "cheirank": ranking.cheirank})
 
 
 def cmd_stats(args, argv) -> int:
@@ -210,7 +192,6 @@ def cmd_stats(args, argv) -> int:
         "hist_lo": args.hist_lo,
         "hist_hi": args.hist_hi,
         "delta_points": args.delta_points,
-        "seed": args.seed,
     }
     _write_manifest(
         out, "stats", argv, params, outputs,
@@ -236,7 +217,6 @@ def cmd_density(args, argv) -> int:
         "cells": args.cells,
         "scale": args.scale,
         "divide_by_area": args.divide_by_area,
-        "seed": args.seed,
     }
     _write_manifest(out, "density", argv, params, outputs, started=started)
     return EXIT_OK
@@ -261,7 +241,6 @@ def cmd_flow(args, argv) -> int:
         "scale": args.scale,
         "per_link": args.per_link,
         "weighted": args.weighted,
-        "seed": args.seed,
     }
     fixed = fixed_point_cell(field)
     _write_manifest(
@@ -291,7 +270,6 @@ def _parse_eta_list(text: str) -> list[float]:
 
 def cmd_filter(args, argv) -> int:
     started = time.perf_counter()
-    threads = _threads(args)
     single = args.eta is not None or args.eta_k is not None or args.eta_inf
     if single and args.eta_list is not None:
         raise UsageError("--eta-list cannot be combined with a single filter value")
@@ -305,29 +283,27 @@ def cmd_filter(args, argv) -> int:
         args.input, weighted=args.weighted, drop_self_loops=args.drop_self_loops
     )
     out = _out_dir(args)
-    params = _rank_params(args, threads) | {
+    params = _rank_params(args) | {
         "input": str(args.input),
         "weighted": args.weighted,
         "mode": mode,
     }
-    base = pagerank(g, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter,
-                    threads=threads)
 
     if single:
         eta = args.eta if args.eta is not None else args.eta_k
         if args.eta_inf:
             eta = float("inf")
-        if mode == "probability":
-            result = filter_links_by_prob(g, base, eta)
-        else:
-            result = filter_links_by_rank(g, base.index, eta)
-        chei = pagerank(result.graph, alpha=args.alpha, tol=args.tol,
-                        max_iter=args.max_iter, threads=threads)
-        ranking = TwoDRanking(base, chei)
+        eta_inf = math.isinf(eta)
+        config = FilterConfig(
+            mode=mode, eta=0.0 if eta_inf else eta, eta_inf=eta_inf,
+            alpha=args.alpha, tol=args.tol, max_iter=args.max_iter,
+        )
+        result = filtered_cheirank(g, config)
+        ranking = TwoDRanking(result.pagerank, result.cheirank)
         header = {
             "alpha": args.alpha, "tol": args.tol, "max_iter": args.max_iter,
             "filter_mode": mode,
-            "filter_eta": "inf" if math.isinf(eta) else eta,
+            "filter_eta": "inf" if eta_inf else eta,
             "inverted_links": result.inverted_count,
             "inverted_fraction": result.fraction,
         }
@@ -344,12 +320,12 @@ def cmd_filter(args, argv) -> int:
             } | _iteration_meta(ranking),
             started=started,
         )
-        converged = base.converged and chei.converged
-        if not converged:
-            print("warning: power iteration did not converge", file=sys.stderr)
-        return EXIT_OK if converged else EXIT_WARN
+        return _convergence_exit(
+            {"pagerank": result.pagerank, "filtered cheirank": result.cheirank}
+        )
 
     etas = _parse_eta_list(args.eta_list or DEFAULT_ETA_LIST)
+    base = pagerank(g, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
     fractions = measure_fraction_curve(g, etas, mode=mode, ranking=base)
 
     def write_curve(fp):
@@ -365,28 +341,23 @@ def cmd_filter(args, argv) -> int:
         out, "filter", argv, params, outputs,
         extra={"fractions": list(fractions)}, started=started,
     )
-    if not base.converged:
-        print("warning: power iteration did not converge", file=sys.stderr)
-        return EXIT_WARN
-    return EXIT_OK
+    return _convergence_exit({"pagerank": base})
 
 
 def cmd_matrix(args, argv) -> int:
     started = time.perf_counter()
-    threads = _threads(args)
     g = read_edge_list(
         args.input, weighted=args.weighted, drop_self_loops=args.drop_self_loops
     )
-    warn = False
+    computed = {}
     if args.ranks:
         ranking, _ = read_rank_table(args.ranks)
         if ranking.node_count != g.node_count:
             raise ValueError("rank table does not match the graph")
         k_index = ranking.K
     else:
-        p = pagerank(g, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter,
-                     threads=threads)
-        warn = not p.converged
+        p = pagerank(g, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
+        computed["pagerank"] = p
         k_index = p.index
     render = matrix_density_render(
         g, k_index, cells=args.cells, alpha=args.alpha, raw_window=args.raw_window
@@ -403,7 +374,7 @@ def cmd_matrix(args, argv) -> int:
         _emit(out, "gmatrix_coarse.json", render.coarse.to_json),
         _emit(out, "gmatrix_raw.csv", write_raw),
     ]
-    params = _rank_params(args, threads) | {
+    params = _rank_params(args) | {
         "input": str(args.input),
         "cells": args.cells,
         "raw_window": args.raw_window,
@@ -411,10 +382,30 @@ def cmd_matrix(args, argv) -> int:
         "weighted": args.weighted,
     }
     _write_manifest(out, "matrix", argv, params, outputs, started=started)
-    if warn:
-        print("warning: power iteration did not converge", file=sys.stderr)
-        return EXIT_WARN
-    return EXIT_OK
+    return _convergence_exit(computed)
+
+
+def _read_subset(path, node_count: int) -> list[int]:
+    """Node ids of a subset file, one per line; ``#`` comments and blank
+    lines are skipped.  Each id must lie in [1, node_count]."""
+    ids = []
+    with open(path, "r", encoding="utf-8") as fp:
+        for lineno, raw in enumerate(fp, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                node = int(line)
+            except ValueError:
+                raise ValueError(
+                    f"subset line {lineno}: node id must be an integer, got {line!r}"
+                ) from None
+            if not 1 <= node <= node_count:
+                raise ValueError(
+                    f"subset line {lineno}: node id {node} outside [1, {node_count}]"
+                )
+            ids.append(node)
+    return ids
 
 
 def cmd_twodrank(args, argv) -> int:
@@ -431,10 +422,7 @@ def cmd_twodrank(args, argv) -> int:
     outputs = [_emit(out, "twodrank.tsv", write_combined)]
     extra = {}
     if args.subset:
-        with open(args.subset, "r", encoding="utf-8") as fp:
-            ids = [int(line.strip()) for line in fp if line.strip()
-                   and not line.lstrip().startswith("#")]
-        ranks = local_rank(ranking, ids)
+        ranks = local_rank(ranking, _read_subset(args.subset, ranking.node_count))
 
         def write_local(fp):
             fp.write("# columns: node_id k_local kstar_local\n")
@@ -446,7 +434,6 @@ def cmd_twodrank(args, argv) -> int:
     params = {
         "ranks": str(args.ranks),
         "subset": str(args.subset) if args.subset else None,
-        "seed": args.seed,
     }
     _write_manifest(out, "twodrank", argv, params, outputs, extra=extra, started=started)
     return EXIT_OK
@@ -503,10 +490,6 @@ def build_parser() -> _Parser:
 
     run_opts = argparse.ArgumentParser(add_help=False)
     run_opts.add_argument("--out", default="chei2d-out", help="output directory")
-    run_opts.add_argument("--threads", type=int, default=None,
-                          help="worker threads (default: CHEI2D_THREADS or all cores)")
-    run_opts.add_argument("--seed", type=int, default=0,
-                          help="seed for all randomness")
 
     iter_opts = argparse.ArgumentParser(add_help=False)
     iter_opts.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
@@ -585,6 +568,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mu-out", type=float, default=2.7)
     p.add_argument("--links", type=int, default=None,
                    help="exact link budget (default: sampled degree total)")
+    p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("rerun", help="replay a recorded run from its manifest")

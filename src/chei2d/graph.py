@@ -27,6 +27,9 @@ __all__ = [
     "synth_scale_free",
 ]
 
+# Node ids and counts are stored as int64.
+_MAX_ID = int(np.iinfo(np.int64).max)
+
 
 class EdgeListParseError(ValueError):
     """Malformed edge-list line; ``lineno`` is the offending 1-based line."""
@@ -224,6 +227,8 @@ def parse_edge_list(
                 raise EdgeListParseError(lineno, "node count must be an integer") from None
             if declared < 1:
                 raise ValueError(f"line {lineno}: declared node count must be positive")
+            if declared > _MAX_ID:
+                raise EdgeListParseError(lineno, "node count exceeds the int64 range")
             continue
         if len(tokens) not in (2, 3):
             raise EdgeListParseError(
@@ -235,6 +240,8 @@ def parse_edge_list(
             raise EdgeListParseError(lineno, "node ids must be integers") from None
         if s < 1 or d < 1:
             raise ValueError(f"line {lineno}: node ids must be positive")
+        if s > _MAX_ID or d > _MAX_ID:
+            raise EdgeListParseError(lineno, "node id exceeds the int64 range")
         w = 1.0
         if len(tokens) == 3:
             try:

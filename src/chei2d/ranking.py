@@ -10,7 +10,6 @@ for small instances.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +34,6 @@ __all__ = [
 DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1000
-
-# Below this many links the threaded matvec is pure dispatch overhead.
-_PARALLEL_MIN_LINKS = 200_000
 
 
 def rank_order(probabilities) -> np.ndarray:
@@ -152,11 +148,10 @@ class TwoDRanking:
         alpha: float = DEFAULT_ALPHA,
         tol: float = DEFAULT_TOL,
         max_iter: int = DEFAULT_MAX_ITER,
-        threads: int = 1,
     ) -> "TwoDRanking":
         return cls(
-            pagerank(g, alpha=alpha, tol=tol, max_iter=max_iter, threads=threads),
-            cheirank(g, alpha=alpha, tol=tol, max_iter=max_iter, threads=threads),
+            pagerank(g, alpha=alpha, tol=tol, max_iter=max_iter),
+            cheirank(g, alpha=alpha, tol=tol, max_iter=max_iter),
         )
 
     @classmethod
@@ -167,29 +162,20 @@ class TwoDRanking:
         )
 
 
-def _block_dot(matrix, v, out, lo, hi):
-    out[lo:hi] = matrix.dot(v)
-
-
 class StochasticOperator:
     """Sparse action of the damped operator alpha*S + (1-alpha)/N.
 
     Columns of real links are normalized by out-degree (out-strength in
     weighted mode); dangling columns stay implicit and contribute their
     probability mass uniformly at application time, keeping memory at
-    O(links + N).  The row-blocked threaded path computes each row with
-    the same per-row summation order as the serial path, so results are
-    bit-identical for every thread count.
+    O(links + N).
     """
 
-    def __init__(self, graph: DirectedGraph, alpha: float = DEFAULT_ALPHA, threads: int = 1):
+    def __init__(self, graph: DirectedGraph, alpha: float = DEFAULT_ALPHA):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
         self.graph = graph
         self.alpha = float(alpha)
-        self.threads = int(threads)
         n = graph.node_count
         strength = (
             graph.out_strength if graph.weighted else graph.out_degree.astype(np.float64)
@@ -202,27 +188,12 @@ class StochasticOperator:
             )
         else:
             self.matrix = sp.csr_matrix((n, n), dtype=np.float64)
-        self._blocks = None
-        if self.threads > 1 and self.matrix.nnz >= _PARALLEL_MIN_LINKS:
-            cuts = np.searchsorted(
-                self.matrix.indptr, np.linspace(0, self.matrix.nnz, self.threads + 1)
-            )
-            cuts = np.unique(np.clip(cuts, 0, n))
-            if cuts[0] != 0:
-                cuts = np.concatenate(([0], cuts))
-            if cuts[-1] != n:
-                cuts = np.concatenate((cuts, [n]))
-            if len(cuts) > 2:
-                self._blocks = [
-                    (int(lo), int(hi), self.matrix[int(lo):int(hi)])
-                    for lo, hi in zip(cuts[:-1], cuts[1:])
-                ]
 
     @property
     def node_count(self) -> int:
         return self.graph.node_count
 
-    def apply(self, v, pool: ThreadPoolExecutor | None = None) -> np.ndarray:
+    def apply(self, v) -> np.ndarray:
         """One application of the operator to a probability vector.
 
         Output = alpha*S_link v + [alpha * (mass on dangling nodes)
@@ -231,16 +202,7 @@ class StochasticOperator:
         n = self.node_count
         if v.shape != (n,):
             raise ValueError("vector length does not match node count")
-        if pool is not None and self._blocks is not None:
-            out = np.empty(n, dtype=np.float64)
-            futures = [
-                pool.submit(_block_dot, blk, v, out, lo, hi)
-                for lo, hi, blk in self._blocks
-            ]
-            for f in futures:
-                f.result()
-        else:
-            out = self.matrix.dot(v)
+        out = self.matrix.dot(v)
         dangling_mass = float(v[self.dangling].sum()) if self.dangling.size else 0.0
         out += (self.alpha * dangling_mass + (1.0 - self.alpha)) / n
         return out
@@ -251,14 +213,12 @@ def pagerank(
     alpha: float = DEFAULT_ALPHA,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    threads: int = 1,
 ) -> RankVector:
     """Stationary probability of the damped operator by power iteration.
 
     Starts from the uniform vector and iterates until the L1 change per
     step drops below ``tol`` or ``max_iter`` is reached; in the latter
     case the result carries ``converged=False`` rather than raising.
-    Deterministic for any ``threads`` value.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
@@ -266,22 +226,17 @@ def pagerank(
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    op = StochasticOperator(g, alpha=alpha, threads=threads)
+    op = StochasticOperator(g, alpha=alpha)
     n = g.node_count
     v = np.full(n, 1.0 / n)
     residual = float("inf")
     iterations = 0
-    pool = ThreadPoolExecutor(threads) if op._blocks is not None else None
-    try:
-        for iterations in range(1, max_iter + 1):
-            nxt = op.apply(v, pool)
-            residual = float(np.abs(nxt - v).sum())
-            v = nxt
-            if residual < tol:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for iterations in range(1, max_iter + 1):
+        nxt = op.apply(v)
+        residual = float(np.abs(nxt - v).sum())
+        v = nxt
+        if residual < tol:
+            break
     return RankVector.from_probabilities(
         v,
         iterations_used=iterations,
@@ -295,10 +250,9 @@ def cheirank(
     alpha: float = DEFAULT_ALPHA,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    threads: int = 1,
 ) -> RankVector:
     """PageRank of the link-reversed graph (identical by definition)."""
-    return pagerank(g.reverse(), alpha=alpha, tol=tol, max_iter=max_iter, threads=threads)
+    return pagerank(g.reverse(), alpha=alpha, tol=tol, max_iter=max_iter)
 
 
 _DENSE_LIMIT = 2000

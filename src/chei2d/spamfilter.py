@@ -71,14 +71,16 @@ class FilterResult:
     The filtered graph has the same node count and exactly the same link
     count as the input: every link is either kept or reversed, never
     dropped or duplicated.  ``fraction`` is inverted_count / link_count
-    (0 for an empty graph).  ``cheirank`` is populated only by
-    :func:`filtered_cheirank`.
+    (0 for an empty graph).  ``cheirank`` and ``pagerank`` (the PageRank
+    of the unfiltered graph that chose the inversions) are populated only
+    by :func:`filtered_cheirank`.
     """
 
     graph: DirectedGraph
     inverted_count: int
     fraction: float
     cheirank: RankVector | None = None
+    pagerank: RankVector | None = None
 
 
 def _inversion_mask(
@@ -146,9 +148,7 @@ def filter_links_by_rank(
     return _apply_mask(g, mask)
 
 
-def filtered_cheirank(
-    g: DirectedGraph, config: FilterConfig, threads: int = 1
-) -> FilterResult:
+def filtered_cheirank(g: DirectedGraph, config: FilterConfig) -> FilterResult:
     """Filtered CheiRank of ``g``: rank, invert selectively, rank again.
 
     Computes the PageRank of the unfiltered graph, applies the configured
@@ -157,21 +157,17 @@ def filtered_cheirank(
     no further global reversal happens: at eta=0 the result is the plain
     PageRank and at eta=inf the ordinary CheiRank.
     """
-    p = pagerank(
-        g, alpha=config.alpha, tol=config.tol, max_iter=config.max_iter, threads=threads
-    )
+    p = pagerank(g, alpha=config.alpha, tol=config.tol, max_iter=config.max_iter)
     if config.mode == "probability":
         result = filter_links_by_prob(g, p, config.eta, config.eta_inf)
     else:
         result = filter_links_by_rank(g, p.index, config.eta, config.eta_inf)
     chei = pagerank(
-        result.graph,
-        alpha=config.alpha,
-        tol=config.tol,
-        max_iter=config.max_iter,
-        threads=threads,
+        result.graph, alpha=config.alpha, tol=config.tol, max_iter=config.max_iter
     )
-    return FilterResult(result.graph, result.inverted_count, result.fraction, chei)
+    return FilterResult(
+        result.graph, result.inverted_count, result.fraction, cheirank=chei, pagerank=p
+    )
 
 
 def analytic_fraction(eta_k: float, a: float, nu: float) -> float:
@@ -208,7 +204,6 @@ def measure_fraction_curve(
     alpha: float = DEFAULT_ALPHA,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    threads: int = 1,
 ) -> np.ndarray:
     """Measured inverted-link fraction at each filter value.
 
@@ -225,7 +220,7 @@ def measure_fraction_curve(
     if np.any(np.diff(etas) < 0):
         raise ValueError("etas must be sorted ascending")
     if ranking is None:
-        ranking = pagerank(g, alpha=alpha, tol=tol, max_iter=max_iter, threads=threads)
+        ranking = pagerank(g, alpha=alpha, tol=tol, max_iter=max_iter)
     values = ranking.probabilities if mode == "probability" else ranking.index.astype(np.float64)
     out = np.empty(etas.size)
     for i, eta in enumerate(etas):

@@ -60,6 +60,30 @@ def test_rank_nonconvergence_exits_2_with_outputs(chain_file, tmp_path):
     assert (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv, output", [
+    (["filter", "--eta", "10"], "filtered_ranks.tsv"),
+    (["matrix"], "gmatrix_coarse.csv"),
+])
+def test_nonconvergence_warning_names_vector(chain_file, tmp_path, capsys, argv, output):
+    out = tmp_path / "out"
+    assert run(*argv, chain_file, "--max-iter", "1", "--tol", "1e-15",
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "pagerank (residual" in err and "after 1 iterations" in err
+    assert (out / output).exists()
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("1 2\n2 99999999999999999999\n", 2),
+    ("N 99999999999999999999\n1 2\n", 1),
+])
+def test_rank_oversized_id_is_line_numbered_error(tmp_path, capsys, text, lineno):
+    edges = tmp_path / "edges.txt"
+    edges.write_text(text)
+    assert run("rank", edges, "--out", tmp_path / "o") == 1
+    assert f"error: line {lineno}: " in capsys.readouterr().err
+
+
 def test_filter_flag_conflict(cycle_file, tmp_path):
     assert run("filter", cycle_file, "--eta", "1", "--eta-k", "1",
                "--out", tmp_path / "o") == 1
@@ -184,6 +208,21 @@ def test_twodrank_with_subset(cycle_file, tmp_path):
     assert [r[0] for r in local] == ["1", "3"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1\nx\n", "subset line 2: node id must be an integer"),
+    ("1\n\n99999999999999999999\n", "subset line 3: node id 99999999999999999999 outside"),
+])
+def test_twodrank_bad_subset_is_line_numbered_error(cycle_file, tmp_path, capsys,
+                                                    text, message):
+    ranks = tmp_path / "r"
+    subset = tmp_path / "subset.txt"
+    subset.write_text(text)
+    assert run("rank", cycle_file, "--out", ranks) == 0
+    assert run("twodrank", ranks / "ranks.tsv", "--subset", subset,
+               "--out", tmp_path / "t") == 1
+    assert message in capsys.readouterr().err
+
+
 def test_synth_command_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run("synth", "--nodes", "50", "--seed", "3", "--out", a) == 0
@@ -193,9 +232,9 @@ def test_synth_command_deterministic(tmp_path):
 
 def test_repeat_runs_are_byte_identical(cycle_file, tmp_path):
     outs = []
-    for sub, threads in (("x", "1"), ("y", "1"), ("z", "3")):
+    for sub in ("x", "y", "z"):
         out = tmp_path / sub
-        assert run("rank", cycle_file, "--threads", threads, "--out", out) == 0
+        assert run("rank", cycle_file, "--out", out) == 0
         outs.append((out / "ranks.tsv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
 
@@ -210,6 +249,10 @@ def test_rerun_reproduces_outputs(cycle_file, tmp_path):
 
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 1
+
+
+def test_seed_is_a_synth_flag_only(cycle_file, tmp_path):
+    assert run("rank", cycle_file, "--seed", "5", "--out", tmp_path / "o") == 1
 
 
 def test_stats_rejects_malformed_table(tmp_path):

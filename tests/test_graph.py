@@ -60,6 +60,15 @@ def test_parse_malformed_line_reports_lineno():
     assert err.value.lineno == 2
 
 
+def test_parse_rejects_ids_beyond_int64():
+    with pytest.raises(EdgeListParseError) as err:
+        parse_edge_list("1 2\n2 99999999999999999999\n")
+    assert err.value.lineno == 2
+    with pytest.raises(EdgeListParseError) as err:
+        parse_edge_list("N 99999999999999999999\n1 2\n")
+    assert err.value.lineno == 1
+
+
 def test_parse_too_many_fields():
     with pytest.raises(EdgeListParseError):
         parse_edge_list("1 2 3 4\n")

@@ -12,7 +12,6 @@ from chei2d import (
     pagerank,
     parse_edge_list,
     rank_order,
-    synth_scale_free,
 )
 from conftest import CHAIN, THREE_CYCLE, bernoulli_graph
 from strategies import graphs, prob_vectors
@@ -122,14 +121,6 @@ def test_residual_decays_geometrically():
         if r.size >= 3:
             ratio = (r[-1] / r[0]) ** (1.0 / (r.size - 1))
             assert ratio <= 0.85 + 0.05
-
-
-def test_threads_do_not_change_bits():
-    g = synth_scale_free(50_000, 2.1, 2.7, seed=3, links=300_000)
-    p1 = pagerank(g, threads=1)
-    p4 = pagerank(g, threads=4)
-    assert np.array_equal(p1.probabilities, p4.probabilities)
-    assert p1.iterations_used == p4.iterations_used
 
 
 # -- rank ordering ----------------------------------------------------------

@@ -109,6 +109,7 @@ def test_filtered_cheirank_endpoints():
         base = pagerank(g, tol=tol)
         chei = cheirank(g, tol=tol)
         at_zero = filtered_cheirank(g, FilterConfig(mode="probability", eta=0.0, tol=tol))
+        assert np.array_equal(at_zero.pagerank.probabilities, base.probabilities), name
         assert np.max(np.abs(at_zero.cheirank.probabilities - base.probabilities)) <= 10 * tol, name
         at_inf = filtered_cheirank(
             g, FilterConfig(mode="probability", eta=0.0, eta_inf=True, tol=tol)
