@@ -1,7 +1,7 @@
 """Command-line front end: ingest, rank, analyze, serialize.
 
 Every run writes its data files into --out plus a manifest.json
-recording the command line, resolved parameters, output names and
+recording the command line, the parsed arguments, output names and
 timing; ``chei2d rerun manifest.json --out DIR`` replays a recorded run.
 Exit codes: 0 success, 1 usage or input error, 2 numeric warning (a
 ranking did not converge; outputs are still written).
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .flow import compute_flow, fixed_point_cell
-from .graph import read_edge_list, synth_scale_free, write_edge_list
+from .graph import read_edge_list, serialize_edge_list, synth_scale_free
 from .ranking import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_ITER,
@@ -29,7 +29,7 @@ from .ranking import (
     TwoDRanking,
     pagerank,
 )
-from .spamfilter import FilterConfig, filtered_cheirank, measure_fraction_curve
+from .spamfilter import FilterConfig, check_eta, filtered_cheirank, measure_fraction_curve
 from .stats import (
     component_histogram,
     correlator,
@@ -39,7 +39,7 @@ from .stats import (
     matrix_density_render,
     point_count_curve,
 )
-from .tableio import read_rank_table, write_rank_table
+from .tableio import read_rank_table, write_rank_table, write_rows
 from .twodrank import local_rank, two_d_rank
 
 EXIT_OK = 0
@@ -73,54 +73,27 @@ def _jsonable(value):
     return value
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _emit(out_dir: Path, name: str, write_fn) -> str:
-    path = out_dir / name
-    with open(path, "w", encoding="utf-8") as fp:
-        write_fn(fp)
-    print(f"wrote {path}")
-    return name
-
-
-def _write_manifest(out_dir, command, argv, parameters, outputs, extra=None, started=None):
+def _write_manifest(out_dir: Path, args, argv, outputs, extra, vectors, started) -> None:
     manifest = {
         "tool": "chei2d",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "argv": list(argv),
-        "parameters": _jsonable(parameters),
+        "parameters": _jsonable(
+            {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
+        ),
         "outputs": list(outputs),
-        "wall_clock_s": 0.0 if started is None else time.perf_counter() - started,
+        "wall_clock_s": time.perf_counter() - started,
     }
-    if extra:
-        manifest.update(_jsonable(extra))
+    manifest.update(_jsonable(extra))
+    if vectors:
+        manifest["iterations"] = {name: v.iterations_used for name, v in vectors.items()}
+        manifest["residuals"] = {name: v.residual for name, v in vectors.items()}
     path = out_dir / "manifest.json"
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(manifest, fp, indent=2, sort_keys=True)
         fp.write("\n")
     print(f"wrote {path}")
-
-
-def _iteration_meta(ranking: TwoDRanking) -> dict:
-    return {
-        "iterations": {
-            "pagerank": ranking.pagerank.iterations_used,
-            "cheirank": ranking.cheirank.iterations_used,
-        },
-        "residuals": {
-            "pagerank": ranking.pagerank.residual,
-            "cheirank": ranking.cheirank.residual,
-        },
-    }
-
-
-def _rank_params(args) -> dict:
-    return {"alpha": args.alpha, "tol": args.tol, "max_iter": args.max_iter}
 
 
 def _convergence_exit(vectors: dict[str, RankVector]) -> int:
@@ -139,116 +112,60 @@ def _convergence_exit(vectors: dict[str, RankVector]) -> int:
 
 
 # -- commands ----------------------------------------------------------------
+#
+# Each command only computes.  It returns its data files as name -> writer
+# (called with an open text file), its manifest extras, and the rank
+# vectors whose convergence sets the exit code; main writes all of them.
 
 
-def cmd_rank(args, argv) -> int:
-    started = time.perf_counter()
-    g = read_edge_list(
+def _read_graph(args):
+    return read_edge_list(
         args.input, weighted=args.weighted, drop_self_loops=args.drop_self_loops
     )
+
+
+def cmd_rank(args):
+    g = _read_graph(args)
     ranking = TwoDRanking.compute(g, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
-    out = _out_dir(args)
-    params = _rank_params(args) | {
-        "input": str(args.input),
-        "weighted": args.weighted,
-        "drop_self_loops": args.drop_self_loops,
-    }
     header = {"alpha": args.alpha, "tol": args.tol, "max_iter": args.max_iter,
               "weighted": args.weighted}
-    outputs = [_emit(out, "ranks.tsv", lambda fp: write_rank_table(ranking, fp, header))]
-    _write_manifest(
-        out, "rank", argv, params, outputs,
-        extra=_iteration_meta(ranking)
-        | {"node_count": g.node_count, "link_count": g.link_count},
-        started=started,
-    )
-    return _convergence_exit({"pagerank": ranking.pagerank, "cheirank": ranking.cheirank})
+    files = {"ranks.tsv": lambda fp: write_rank_table(ranking, fp, header)}
+    extra = {"node_count": g.node_count, "link_count": g.link_count}
+    return files, extra, {"pagerank": ranking.pagerank, "cheirank": ranking.cheirank}
 
 
-def cmd_stats(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_stats(args):
     ranking, _ = read_rank_table(args.ranks)
     series = correlator_series(ranking, args.tau_min, args.tau_max)
     comps = correlator_components(ranking)
     hist = component_histogram(comps, bins=args.bins, lo=args.hist_lo, hi=args.hist_hi)
     sizes, deltas = point_count_curve(ranking, points=args.delta_points)
-    out = _out_dir(args)
-
-    def write_deltas(fp):
-        fp.write("# columns: n delta\n")
-        for n, d in zip(sizes, deltas):
-            fp.write(f"{n}\t{d}\n")
-
-    outputs = [
-        _emit(out, "correlator.tsv", series.to_tsv),
-        _emit(out, "components_hist.tsv", hist.to_tsv),
-        _emit(out, "point_count.tsv", write_deltas),
-    ]
-    params = {
-        "ranks": str(args.ranks),
-        "tau_min": args.tau_min,
-        "tau_max": args.tau_max,
-        "bins": args.bins,
-        "hist_lo": args.hist_lo,
-        "hist_hi": args.hist_hi,
-        "delta_points": args.delta_points,
+    files = {
+        "correlator.tsv": series.to_tsv,
+        "components_hist.tsv": hist.to_tsv,
+        "point_count.tsv": lambda fp: write_rows(fp, ["columns: n delta"], sizes, deltas),
     }
-    _write_manifest(
-        out, "stats", argv, params, outputs,
-        extra={"kappa": correlator(ranking, 0), "node_count": ranking.node_count},
-        started=started,
-    )
-    return EXIT_OK
+    return files, {"kappa": correlator(ranking, 0), "node_count": ranking.node_count}, {}
 
 
-def cmd_density(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_density(args):
     ranking, _ = read_rank_table(args.ranks)
     grid = density_grid(
         ranking, cells=args.cells, scale=args.scale, divide_by_area=args.divide_by_area
     )
-    out = _out_dir(args)
-    outputs = [
-        _emit(out, "density.csv", grid.to_csv),
-        _emit(out, "density.json", grid.to_json),
-    ]
-    params = {
-        "ranks": str(args.ranks),
-        "cells": args.cells,
-        "scale": args.scale,
-        "divide_by_area": args.divide_by_area,
-    }
-    _write_manifest(out, "density", argv, params, outputs, started=started)
-    return EXIT_OK
+    return {"density.csv": grid.to_csv, "density.json": grid.to_json}, {}, {}
 
 
-def cmd_flow(args, argv) -> int:
-    started = time.perf_counter()
-    g = read_edge_list(
-        args.input, weighted=args.weighted, drop_self_loops=args.drop_self_loops
-    )
+def cmd_flow(args):
+    g = _read_graph(args)
     ranking, _ = read_rank_table(args.ranks)
     field = compute_flow(
         g, ranking, cells=args.cells, scale=args.scale,
         per_link_average=args.per_link,
     )
-    out = _out_dir(args)
-    outputs = [_emit(out, "flow.tsv", field.to_tsv)]
-    params = {
-        "input": str(args.input),
-        "ranks": str(args.ranks),
-        "cells": args.cells,
-        "scale": args.scale,
-        "per_link": args.per_link,
-        "weighted": args.weighted,
-    }
     fixed = fixed_point_cell(field)
-    _write_manifest(
-        out, "flow", argv, params, outputs,
-        extra={"fixed_point_cell": None if fixed is None else list(fixed)},
-        started=started,
-    )
-    return EXIT_OK
+    extra = {"fixed_point_cell": None if fixed is None else list(fixed)}
+    return {"flow.tsv": field.to_tsv}, extra, {}
 
 
 def _parse_eta_list(text: str) -> list[float]:
@@ -258,19 +175,19 @@ def _parse_eta_list(text: str) -> list[float]:
         if not token:
             continue
         try:
-            values.append(float("inf") if token == "inf" else float(token))
+            values.append(float(token))
         except ValueError:
             raise UsageError(f"bad eta value: {token!r}") from None
     if not values:
         raise UsageError("empty eta list")
+    check_eta(values)
     if any(b < a for a, b in zip(values, values[1:])):
         raise UsageError("eta list must be ascending")
     return values
 
 
-def cmd_filter(args, argv) -> int:
-    started = time.perf_counter()
-    single = args.eta is not None or args.eta_k is not None or args.eta_inf
+def cmd_filter(args):
+    single = args.eta is not None or args.eta_k is not None
     if single and args.eta_list is not None:
         raise UsageError("--eta-list cannot be combined with a single filter value")
     if args.eta is not None and args.mode == "rank":
@@ -278,77 +195,39 @@ def cmd_filter(args, argv) -> int:
     if args.eta_k is not None and args.mode == "probability":
         raise UsageError("--eta-k is the rank filter; use --eta for probability mode")
     mode = "rank" if args.eta_k is not None else (args.mode or "probability")
-
-    g = read_edge_list(
-        args.input, weighted=args.weighted, drop_self_loops=args.drop_self_loops
-    )
-    out = _out_dir(args)
-    params = _rank_params(args) | {
-        "input": str(args.input),
-        "weighted": args.weighted,
-        "mode": mode,
-    }
+    g = _read_graph(args)
 
     if single:
         eta = args.eta if args.eta is not None else args.eta_k
-        if args.eta_inf:
-            eta = float("inf")
-        eta_inf = math.isinf(eta)
         config = FilterConfig(
-            mode=mode, eta=0.0 if eta_inf else eta, eta_inf=eta_inf,
-            alpha=args.alpha, tol=args.tol, max_iter=args.max_iter,
+            mode=mode, eta=eta, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter
         )
         result = filtered_cheirank(g, config)
         ranking = TwoDRanking(result.pagerank, result.cheirank)
         header = {
             "alpha": args.alpha, "tol": args.tol, "max_iter": args.max_iter,
             "filter_mode": mode,
-            "filter_eta": "inf" if eta_inf else eta,
+            "filter_eta": eta,
             "inverted_links": result.inverted_count,
             "inverted_fraction": result.fraction,
         }
-        outputs = [
-            _emit(out, "filtered_ranks.tsv",
-                  lambda fp: write_rank_table(ranking, fp, header)),
-        ]
-        params |= {"eta": eta, "fraction": result.fraction}
-        _write_manifest(
-            out, "filter", argv, params, outputs,
-            extra={
-                "inverted_links": result.inverted_count,
-                "fraction": result.fraction,
-            } | _iteration_meta(ranking),
-            started=started,
-        )
-        return _convergence_exit(
-            {"pagerank": result.pagerank, "filtered cheirank": result.cheirank}
-        )
+        files = {"filtered_ranks.tsv": lambda fp: write_rank_table(ranking, fp, header)}
+        extra = {"inverted_links": result.inverted_count, "fraction": result.fraction}
+        return files, extra, {"pagerank": result.pagerank, "filtered cheirank": result.cheirank}
 
     etas = _parse_eta_list(args.eta_list or DEFAULT_ETA_LIST)
     base = pagerank(g, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
     fractions = measure_fraction_curve(g, etas, mode=mode, ranking=base)
 
     def write_curve(fp):
-        fp.write(f"# mode={mode}\n")
-        fp.write("# columns: eta f\n")
-        for eta, f in zip(etas, fractions):
-            tag = "inf" if math.isinf(eta) else repr(eta)
-            fp.write(f"{tag}\t{float(f)!r}\n")
+        write_rows(fp, [f"mode={mode}", "columns: eta f"], etas, fractions)
 
-    outputs = [_emit(out, "fraction_curve.tsv", write_curve)]
-    params |= {"etas": etas}
-    _write_manifest(
-        out, "filter", argv, params, outputs,
-        extra={"fractions": list(fractions)}, started=started,
-    )
-    return _convergence_exit({"pagerank": base})
+    files = {"fraction_curve.tsv": write_curve}
+    return files, {"fractions": list(fractions)}, {"pagerank": base}
 
 
-def cmd_matrix(args, argv) -> int:
-    started = time.perf_counter()
-    g = read_edge_list(
-        args.input, weighted=args.weighted, drop_self_loops=args.drop_self_loops
-    )
+def cmd_matrix(args):
+    g = _read_graph(args)
     computed = {}
     if args.ranks:
         ranking, _ = read_rank_table(args.ranks)
@@ -364,25 +243,14 @@ def cmd_matrix(args, argv) -> int:
     )
 
     def write_raw(fp):
-        fp.write(f"# raw_window={render.raw.shape[0]}\n")
-        for row in render.raw:
-            fp.write(",".join(repr(float(x)) for x in row) + "\n")
+        write_rows(fp, [f"raw_window={render.raw.shape[0]}"], *render.raw.T, sep=",")
 
-    out = _out_dir(args)
-    outputs = [
-        _emit(out, "gmatrix_coarse.csv", render.coarse.to_csv),
-        _emit(out, "gmatrix_coarse.json", render.coarse.to_json),
-        _emit(out, "gmatrix_raw.csv", write_raw),
-    ]
-    params = _rank_params(args) | {
-        "input": str(args.input),
-        "cells": args.cells,
-        "raw_window": args.raw_window,
-        "ranks": str(args.ranks) if args.ranks else None,
-        "weighted": args.weighted,
+    files = {
+        "gmatrix_coarse.csv": render.coarse.to_csv,
+        "gmatrix_coarse.json": render.coarse.to_json,
+        "gmatrix_raw.csv": write_raw,
     }
-    _write_manifest(out, "matrix", argv, params, outputs, started=started)
-    return _convergence_exit(computed)
+    return files, {}, computed
 
 
 def _read_subset(path, node_count: int) -> list[int]:
@@ -408,62 +276,38 @@ def _read_subset(path, node_count: int) -> list[int]:
     return ids
 
 
-def cmd_twodrank(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_twodrank(args):
     ranking, _ = read_rank_table(args.ranks)
-    combined = two_d_rank(ranking)
-    out = _out_dir(args)
+    order = two_d_rank(ranking).order
 
     def write_combined(fp):
-        fp.write("# columns: node_id twodrank K Kstar\n")
-        for pos, node in enumerate(combined.order, 1):
-            fp.write(f"{node}\t{pos}\t{ranking.K[node - 1]}\t{ranking.Kstar[node - 1]}\n")
+        write_rows(
+            fp, ["columns: node_id twodrank K Kstar"],
+            order, np.arange(1, order.size + 1),
+            ranking.K[order - 1], ranking.Kstar[order - 1],
+        )
 
-    outputs = [_emit(out, "twodrank.tsv", write_combined)]
+    files = {"twodrank.tsv": write_combined}
     extra = {}
     if args.subset:
         ranks = local_rank(ranking, _read_subset(args.subset, ranking.node_count))
-
-        def write_local(fp):
-            fp.write("# columns: node_id k_local kstar_local\n")
-            for node, kl, ksl in zip(ranks.node_ids, ranks.k_local, ranks.kstar_local):
-                fp.write(f"{node}\t{kl}\t{ksl}\n")
-
-        outputs.append(_emit(out, "local_ranks.tsv", write_local))
+        files["local_ranks.tsv"] = lambda fp: write_rows(
+            fp, ["columns: node_id k_local kstar_local"],
+            ranks.node_ids, ranks.k_local, ranks.kstar_local,
+        )
         extra["subset_size"] = int(ranks.node_ids.size)
-    params = {
-        "ranks": str(args.ranks),
-        "subset": str(args.subset) if args.subset else None,
-    }
-    _write_manifest(out, "twodrank", argv, params, outputs, extra=extra, started=started)
-    return EXIT_OK
+    return files, extra, {}
 
 
-def cmd_synth(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_synth(args):
     g = synth_scale_free(
         args.nodes, args.mu_in, args.mu_out, args.seed, links=args.links
     )
-    out = _out_dir(args)
-    path = out / "edges.txt"
-    write_edge_list(g, path)
-    print(f"wrote {path}")
-    params = {
-        "nodes": args.nodes,
-        "mu_in": args.mu_in,
-        "mu_out": args.mu_out,
-        "links": args.links,
-        "seed": args.seed,
-    }
-    _write_manifest(
-        out, "synth", argv, params, ["edges.txt"],
-        extra={"node_count": g.node_count, "link_count": g.link_count},
-        started=started,
-    )
-    return EXIT_OK
+    files = {"edges.txt": lambda fp: fp.write(serialize_edge_list(g))}
+    return files, {"node_count": g.node_count, "link_count": g.link_count}, {}
 
 
-def cmd_rerun(args, argv) -> int:
+def cmd_rerun(args) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fp:
         manifest = json.load(fp)
     recorded = list(manifest.get("argv", []))
@@ -538,9 +382,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("filter", parents=[run_opts, iter_opts, graph_opts],
                        help="selective link inversion and filtered CheiRank")
     grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--eta", type=float, help="probability-filter value")
-    grp.add_argument("--eta-k", type=float, help="rank-filter value")
-    grp.add_argument("--eta-inf", action="store_true", help="invert all links")
+    grp.add_argument("--eta", type=float,
+                     help="probability-filter value (inf inverts every link)")
+    grp.add_argument("--eta-k", type=float,
+                     help="rank-filter value (inf inverts every link)")
     p.add_argument("--eta-list", default=None,
                    help=f"fraction curve over these values (default {DEFAULT_ETA_LIST})")
     p.add_argument("--mode", choices=("probability", "rank"), default=None)
@@ -574,7 +419,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("rerun", help="replay a recorded run from its manifest")
     p.add_argument("manifest")
     p.add_argument("--out", default=None, help="redirect outputs to this directory")
-    p.set_defaults(func=cmd_rerun)
 
     return parser
 
@@ -586,11 +430,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError) as exc:
+        if args.command == "rerun":
+            return cmd_rerun(args)
+        started = time.perf_counter()
+        files, extra, vectors = args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in files.items():
+            with open(out / name, "w", encoding="utf-8") as fp:
+                write(fp)
+            print(f"wrote {out / name}")
+        _write_manifest(out, args, argv, files, extra, vectors, started)
+        return _convergence_exit(vectors)
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -17,6 +17,7 @@ import numpy as np
 from .graph import DirectedGraph
 from .ranking import TwoDRanking
 from .stats import bin_ranks
+from .tableio import write_rows
 
 __all__ = ["FlowField", "compute_flow", "fixed_point_cell"]
 
@@ -45,17 +46,16 @@ class FlowField:
         return np.hypot(self.dx, self.dy)
 
     def to_tsv(self, fp) -> None:
-        fp.write(f"# scale={self.scale}\n")
-        fp.write(f"# cells={self.cells}\n")
-        fp.write("# columns: i istar n dx dy amplitude empty\n")
-        amp = self.amplitude
-        for i in range(self.cells):
-            for j in range(self.cells):
-                fp.write(
-                    f"{i}\t{j}\t{int(self.counts[i, j])}\t{float(self.dx[i, j])!r}"
-                    f"\t{float(self.dy[i, j])!r}\t{float(amp[i, j])!r}"
-                    f"\t{int(self.empty[i, j])}\n"
-                )
+        header = [
+            f"scale={self.scale}",
+            f"cells={self.cells}",
+            "columns: i istar n dx dy amplitude empty",
+        ]
+        i, j = np.indices(self.counts.shape)
+        write_rows(
+            fp, header, i.ravel(), j.ravel(), self.counts.ravel(), self.dx.ravel(),
+            self.dy.ravel(), self.amplitude.ravel(), self.empty.ravel(),
+        )
 
 
 def compute_flow(

@@ -30,6 +30,7 @@ __all__ = [
     "FilterConfig",
     "FilterResult",
     "analytic_fraction",
+    "check_eta",
     "filter_links_by_prob",
     "filter_links_by_rank",
     "filtered_cheirank",
@@ -40,19 +41,26 @@ __all__ = [
 MODES = ("probability", "rank")
 
 
+def check_eta(eta, name: str = "eta") -> None:
+    """Raise ValueError unless every filter value in ``eta`` (a number or
+    a sequence) is >= 0.  NaN and -inf are rejected; +inf is the limit
+    that inverts every link."""
+    if not np.all(np.asarray(eta, dtype=np.float64) >= 0):
+        raise ValueError(f"{name} must be >= 0 (inf inverts every link), got {eta!r}")
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     """Inversion-filter settings plus the iteration parameters used for
     the two PageRank computations around it.
 
-    ``eta_inf`` realizes the all-links-inverted limit explicitly, since
-    with teleportation every probability is positive and no finite eta
-    reaches it in probability mode.
+    ``eta = inf`` is the all-links-inverted limit, which no finite eta
+    reaches in probability mode since with teleportation every
+    probability is positive.
     """
 
     mode: str = "probability"
     eta: float = 0.0
-    eta_inf: bool = False
     alpha: float = DEFAULT_ALPHA
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
@@ -60,8 +68,7 @@ class FilterConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if not self.eta_inf and (not math.isfinite(self.eta) or self.eta < 0):
-            raise ValueError("eta must be finite and >= 0 (or use eta_inf)")
+        check_eta(self.eta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,15 +91,16 @@ class FilterResult:
 
 
 def _inversion_mask(
-    g: DirectedGraph, values: np.ndarray, eta: float, eta_inf: bool, mode: str
+    g: DirectedGraph, values: np.ndarray, eta: float, mode: str
 ) -> np.ndarray:
     """Boolean per-link mask of inversions.  Strict inequalities: ties
-    keep the original direction, so eta=0 inverts nothing."""
+    keep the original direction, so eta=0 inverts nothing.  eta=inf takes
+    the limit directly, so inf*0 is never evaluated."""
     if mode == "probability":
-        if eta_inf:
+        if math.isinf(eta):
             return values[g.src - 1] > 0.0
         return eta * values[g.src - 1] > values[g.dst - 1]
-    if eta_inf:
+    if math.isinf(eta):
         return np.ones(g.link_count, dtype=bool)
     return values[g.src - 1] < eta * values[g.dst - 1]
 
@@ -108,44 +116,31 @@ def _apply_mask(g: DirectedGraph, mask: np.ndarray) -> FilterResult:
     return FilterResult(filtered, inverted, fraction)
 
 
-def filter_links_by_prob(
-    g: DirectedGraph, p: RankVector, eta: float, eta_inf: bool = False
-) -> FilterResult:
+def filter_links_by_prob(g: DirectedGraph, p: RankVector, eta: float) -> FilterResult:
     """Reverse each link src->dst with eta * P(src) > P(dst), keep the rest.
 
-    ``p`` must be the PageRank of ``g``.  eta=0 inverts nothing;
-    ``eta_inf`` inverts every link whose source has positive probability
-    (all of them under teleportation).  A numeric infinite eta is treated
-    as ``eta_inf``.
+    ``p`` must be the PageRank of ``g``.  eta=0 inverts nothing; eta=inf
+    inverts every link whose source has positive probability (all of them
+    under teleportation).
     """
     if p.node_count != g.node_count:
         raise ValueError("rank vector does not match the graph")
-    if not eta_inf and math.isinf(eta):
-        eta, eta_inf = 0.0, True
-    if not eta_inf and eta < 0:
-        raise ValueError("eta must be >= 0")
-    mask = _inversion_mask(g, p.probabilities, eta, eta_inf, "probability")
-    return _apply_mask(g, mask)
+    check_eta(eta)
+    return _apply_mask(g, _inversion_mask(g, p.probabilities, eta, "probability"))
 
 
-def filter_links_by_rank(
-    g: DirectedGraph, k_index, eta_k: float, eta_inf: bool = False
-) -> FilterResult:
+def filter_links_by_rank(g: DirectedGraph, k_index, eta_k: float) -> FilterResult:
     """Reverse each link src->dst with K(src) < eta_k * K(dst).
 
     ``k_index`` is the 1-based rank per node.  eta_k=0 inverts nothing
     (no rank is below zero); eta_k large enough that eta_k * K exceeds N
-    everywhere inverts all links.
+    everywhere, eta_k=inf included, inverts all links.
     """
     k = np.asarray(k_index, dtype=np.float64)
     if k.shape != (g.node_count,):
         raise ValueError("rank index does not match the graph")
-    if not eta_inf and math.isinf(eta_k):
-        eta_k, eta_inf = 0.0, True
-    if not eta_inf and eta_k < 0:
-        raise ValueError("eta_k must be >= 0")
-    mask = _inversion_mask(g, k, eta_k, eta_inf, "rank")
-    return _apply_mask(g, mask)
+    check_eta(eta_k, "eta_k")
+    return _apply_mask(g, _inversion_mask(g, k, eta_k, "rank"))
 
 
 def filtered_cheirank(g: DirectedGraph, config: FilterConfig) -> FilterResult:
@@ -159,9 +154,9 @@ def filtered_cheirank(g: DirectedGraph, config: FilterConfig) -> FilterResult:
     """
     p = pagerank(g, alpha=config.alpha, tol=config.tol, max_iter=config.max_iter)
     if config.mode == "probability":
-        result = filter_links_by_prob(g, p, config.eta, config.eta_inf)
+        result = filter_links_by_prob(g, p, config.eta)
     else:
-        result = filter_links_by_rank(g, p.index, config.eta, config.eta_inf)
+        result = filter_links_by_rank(g, p.index, config.eta)
     chei = pagerank(
         result.graph, alpha=config.alpha, tol=config.tol, max_iter=config.max_iter
     )
@@ -207,16 +202,17 @@ def measure_fraction_curve(
 ) -> np.ndarray:
     """Measured inverted-link fraction at each filter value.
 
-    ``etas`` must be ascending (np.inf allowed as the last entries); the
-    returned fractions are then non-decreasing because the inversion set
-    only grows with the threshold.  ``ranking`` skips the internal
-    PageRank computation when supplied.
+    ``etas`` must be >= 0 and ascending (np.inf allowed as the last
+    entries); the returned fractions are then non-decreasing because the
+    inversion set only grows with the threshold.  ``ranking`` skips the
+    internal PageRank computation when supplied.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     etas = np.asarray(etas, dtype=np.float64)
     if etas.ndim != 1 or etas.size == 0:
         raise ValueError("etas must be a non-empty vector")
+    check_eta(etas, "etas")
     if np.any(np.diff(etas) < 0):
         raise ValueError("etas must be sorted ascending")
     if ranking is None:
@@ -224,8 +220,7 @@ def measure_fraction_curve(
     values = ranking.probabilities if mode == "probability" else ranking.index.astype(np.float64)
     out = np.empty(etas.size)
     for i, eta in enumerate(etas):
-        inf = math.isinf(eta)
-        mask = _inversion_mask(g, values, 0.0 if inf else float(eta), inf, mode)
+        mask = _inversion_mask(g, values, float(eta), mode)
         out[i] = mask.mean() if g.link_count else 0.0
     return out
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .graph import DirectedGraph
 from .ranking import DEFAULT_ALPHA, RankVector, TwoDRanking
+from .tableio import write_rows
 
 __all__ = [
     "CorrelatorSeries",
@@ -92,9 +93,7 @@ class CorrelatorSeries:
     kappa: np.ndarray
 
     def to_tsv(self, fp) -> None:
-        fp.write("# columns: tau kappa\n")
-        for t, k in zip(self.tau, self.kappa):
-            fp.write(f"{t}\t{float(k)!r}\n")
+        write_rows(fp, ["columns: tau kappa"], self.tau, self.kappa)
 
 
 def correlator_series(
@@ -133,13 +132,12 @@ class Histogram:
         return int(self.counts.sum()) + self.out_of_range
 
     def to_tsv(self, fp) -> None:
-        total = max(self.n_samples, 1)
-        fp.write("# columns: lo_edge hi_edge count frequency\n")
-        fp.write(f"# out_of_range={self.out_of_range}\n")
-        for lo, hi, c in zip(self.edges[:-1], self.edges[1:], self.counts):
-            fp.write(
-                f"{float(lo)!r}\t{float(hi)!r}\t{int(c)}\t{float(c / total)!r}\n"
-            )
+        write_rows(
+            fp,
+            ["columns: lo_edge hi_edge count frequency", f"out_of_range={self.out_of_range}"],
+            self.edges[:-1], self.edges[1:], self.counts,
+            self.counts / max(self.n_samples, 1),
+        )
 
 
 def component_histogram(
@@ -219,18 +217,13 @@ class DensityGrid:
     def cells(self) -> int:
         return int(self.values.shape[0])
 
-    def _header(self) -> list[str]:
-        return [
-            f"# scale={self.scale}",
-            f"# cells={self.cells}",
-            f"# normalization={self.normalization!r}",
-        ]
-
     def to_csv(self, fp) -> None:
-        for line in self._header():
-            fp.write(line + "\n")
-        for row in self.values:
-            fp.write(",".join(repr(float(x)) for x in row) + "\n")
+        header = [
+            f"scale={self.scale}",
+            f"cells={self.cells}",
+            f"normalization={self.normalization!r}",
+        ]
+        write_rows(fp, header, *self.values.T, sep=",")
 
     def to_json(self, fp) -> None:
         json.dump(

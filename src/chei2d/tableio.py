@@ -1,4 +1,4 @@
-"""Rank-table text format.
+"""Rank-table text format and the row writer every data file goes through.
 
 One node per line, "node_id P K Pstar Kstar", preceded by '#' metadata
 lines carrying the computation parameters (alpha, tolerance, iteration
@@ -15,9 +15,28 @@ import numpy as np
 
 from .ranking import RankVector, TwoDRanking
 
-__all__ = ["write_rank_table", "read_rank_table", "serialize_rank_table"]
+__all__ = ["write_rank_table", "read_rank_table", "serialize_rank_table", "write_rows"]
 
 _MAGIC = "chei2d-rank-table"
+_CHUNK_ROWS = 1 << 16
+
+
+def write_rows(fp: IO[str], header_lines, *columns, sep: str = "\t") -> None:
+    """Write each header line as '# line', then one row per index of the
+    equal-length ``columns``.
+
+    Every value prints through ``repr`` of its ``.tolist()`` element, so
+    ints print as ``str`` does and floats with round-trip precision; bool
+    columns print as 0/1.  Rows are formatted in chunks, which bounds the
+    memory held by the row text.
+    """
+    fp.writelines(f"# {line}\n" for line in header_lines)
+    arrays = [np.asarray(c) for c in columns]
+    arrays = [a.astype(np.int64) if a.dtype == bool else a for a in arrays]
+    row = sep.join(["{!r}"] * len(arrays)) + "\n"
+    for start in range(0, len(arrays[0]) if arrays else 0, _CHUNK_ROWS):
+        chunk = (a[start:start + _CHUNK_ROWS].tolist() for a in arrays)
+        fp.write("".join(map(row.format, *chunk)))
 
 
 def _format_value(value) -> str:
@@ -56,20 +75,17 @@ def write_rank_table(ranking: TwoDRanking, destination, params: dict | None = No
 
 
 def _write(ranking: TwoDRanking, fp: IO[str], params: dict | None) -> None:
-    fp.write(f"# {_MAGIC}\n")
-    fp.write(f"# N={ranking.node_count}\n")
-    for key, value in sorted((params or {}).items()):
-        fp.write(f"# {key}={_format_value(value)}\n")
+    header = [_MAGIC, f"N={ranking.node_count}"]
+    header += [f"{key}={_format_value(value)}" for key, value in sorted((params or {}).items())]
     for name, vec in (("pagerank", ranking.pagerank), ("cheirank", ranking.cheirank)):
-        for key, value in _vector_params(name, vec):
-            fp.write(f"# {key}={_format_value(value)}\n")
-    fp.write("# columns: node_id P K Pstar Kstar\n")
-    p = ranking.pagerank.probabilities
-    ps = ranking.cheirank.probabilities
-    k = ranking.K
-    ks = ranking.Kstar
-    for i in range(ranking.node_count):
-        fp.write(f"{i + 1} {float(p[i])!r} {k[i]} {float(ps[i])!r} {ks[i]}\n")
+        header += [f"{key}={_format_value(value)}" for key, value in _vector_params(name, vec)]
+    header.append("columns: node_id P K Pstar Kstar")
+    write_rows(
+        fp, header,
+        np.arange(1, ranking.node_count + 1), ranking.pagerank.probabilities, ranking.K,
+        ranking.cheirank.probabilities, ranking.Kstar,
+        sep=" ",
+    )
 
 
 def _coerce(text: str):
@@ -83,8 +99,9 @@ def _coerce(text: str):
 
 def read_rank_table(source) -> tuple[TwoDRanking, dict]:
     """Read a table back into a :class:`TwoDRanking` plus its header
-    parameters.  Raises ValueError on malformed rows or when a rank
-    column is not a permutation of 1..N."""
+    parameters.  Raises ValueError on malformed rows, on probabilities
+    that are negative or not finite, and when K or K* is not the rank
+    order of its probability column (descending, ties by node id)."""
     if hasattr(source, "read"):
         return _read(source)
     with open(source, "r", encoding="utf-8") as fp:
@@ -125,23 +142,19 @@ def _read(fp: IO[str]) -> tuple[TwoDRanking, dict]:
     k = np.array([rows[i][2] for i in by_node], dtype=np.int64)
     ps = np.array([rows[i][3] for i in by_node])
     ks = np.array([rows[i][4] for i in by_node], dtype=np.int64)
-    for prob in (p, ps):
-        if not np.all(np.isfinite(prob)) or np.any(prob < 0):
-            raise ValueError("rank table probabilities must be finite and nonnegative")
 
-    def build(name: str, prob: np.ndarray, index: np.ndarray) -> RankVector:
-        if not np.array_equal(np.sort(index), np.arange(1, n + 1)):
-            raise ValueError(f"rank table {name} index is not a permutation of 1..N")
-        order = np.empty(n, dtype=np.int64)
-        order[index - 1] = np.arange(1, n + 1)
-        return RankVector(
+    def build(name: str, prob: np.ndarray, index: np.ndarray, column: str) -> RankVector:
+        vec = RankVector.from_probabilities(
             prob,
-            order,
-            index,
             iterations_used=int(params.get(f"{name}_iterations", 0)),
             residual=float(params.get(f"{name}_residual", 0.0)),
             converged=bool(params.get(f"{name}_converged", 1)),
         )
+        if not np.array_equal(vec.index, index):
+            raise ValueError(
+                f"rank table {column} column is not the rank order of its probabilities"
+            )
+        return vec
 
-    ranking = TwoDRanking(build("pagerank", p, k), build("cheirank", ps, ks))
+    ranking = TwoDRanking(build("pagerank", p, k, "K"), build("cheirank", ps, ks, "Kstar"))
     return ranking, params

@@ -158,7 +158,7 @@ def test_criterion_6_filter_endpoints():
         base = pagerank(g, tol=tol)
         chei = cheirank(g, tol=tol)
         at_zero = filtered_cheirank(g, FilterConfig(eta=0.0, tol=tol))
-        at_inf = filtered_cheirank(g, FilterConfig(eta_inf=True, tol=tol))
+        at_inf = filtered_cheirank(g, FilterConfig(eta=float("inf"), tol=tol))
         worst = max(
             worst,
             float(np.max(np.abs(at_zero.cheirank.probabilities - base.probabilities))),

@@ -94,6 +94,25 @@ def test_filter_mode_mismatch(cycle_file, tmp_path):
                "--out", tmp_path / "o") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--eta=-inf"], ["--eta", "nan"], ["--eta-k=-inf"], ["--eta-k", "nan"],
+    ["--eta-list", "nan,1"], ["--eta-list=-inf,1"],
+])
+def test_filter_rejects_nan_and_negative_infinity(cycle_file, tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run("filter", cycle_file, *argv, "--out", out) == 1
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_filter_eta_inf_inverts_every_link(cycle_file, tmp_path):
+    for flag in ("--eta", "--eta-k"):
+        out = tmp_path / flag
+        assert run("filter", cycle_file, flag, "inf", "--out", out) == 0
+        _, params = read_rank_table(out / "filtered_ranks.tsv")
+        assert params["inverted_links"] == 3 and params["filter_eta"] == float("inf")
+
+
 def test_filter_eta_zero_reports_zero_fraction(cycle_file, tmp_path):
     out = tmp_path / "out"
     assert run("filter", cycle_file, "--eta", "0", "--out", out) == 0
@@ -259,3 +278,16 @@ def test_stats_rejects_malformed_table(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("1 0.5 1\n")
     assert run("stats", bad, "--out", tmp_path / "o") == 1
+
+
+def test_stats_rejects_table_with_swapped_ranks(chain_file, tmp_path, capsys):
+    ranks = tmp_path / "r"
+    assert run("rank", chain_file, "--out", ranks) == 0
+    rows = (ranks / "ranks.tsv").read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(rows) if not line.startswith("#"))
+    a, b = rows[first].split(" "), rows[first + 1].split(" ")
+    a[2], b[2] = b[2], a[2]  # K stays a permutation of 1..N but no longer follows P
+    rows[first], rows[first + 1] = " ".join(a), " ".join(b)
+    (ranks / "ranks.tsv").write_text("".join(rows))
+    assert run("stats", ranks / "ranks.tsv", "--out", tmp_path / "s") == 1
+    assert "K column is not the rank order" in capsys.readouterr().err

@@ -36,12 +36,9 @@ def test_prob_filter_eta_zero_inverts_nothing(three_cycle):
 
 def test_prob_filter_eta_inf_reverses_everything(three_cycle):
     p = pagerank(three_cycle)
-    for res in (
-        filter_links_by_prob(three_cycle, p, 0.0, eta_inf=True),
-        filter_links_by_prob(three_cycle, p, float("inf")),
-    ):
-        assert res.fraction == 1.0
-        assert res.graph == three_cycle.reverse()
+    res = filter_links_by_prob(three_cycle, p, float("inf"))
+    assert res.fraction == 1.0
+    assert res.graph == three_cycle.reverse()
 
 
 def test_prob_filter_two_node_hand_case():
@@ -100,6 +97,19 @@ def test_measure_curve_rejects_unsorted(three_cycle):
         measure_fraction_curve(three_cycle, [1.0, 0.5])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf"), -1.0])
+def test_filter_values_reject_nan_and_negatives(three_cycle, bad):
+    p = pagerank(three_cycle)
+    with pytest.raises(ValueError):
+        FilterConfig(eta=bad)
+    with pytest.raises(ValueError):
+        filter_links_by_prob(three_cycle, p, bad)
+    with pytest.raises(ValueError):
+        filter_links_by_rank(three_cycle, p.index, bad)
+    with pytest.raises(ValueError):
+        measure_fraction_curve(three_cycle, [bad, 1.0], ranking=p)
+
+
 # -- filtered cheirank -----------------------------------------------------
 
 
@@ -112,7 +122,7 @@ def test_filtered_cheirank_endpoints():
         assert np.array_equal(at_zero.pagerank.probabilities, base.probabilities), name
         assert np.max(np.abs(at_zero.cheirank.probabilities - base.probabilities)) <= 10 * tol, name
         at_inf = filtered_cheirank(
-            g, FilterConfig(mode="probability", eta=0.0, eta_inf=True, tol=tol)
+            g, FilterConfig(mode="probability", eta=float("inf"), tol=tol)
         )
         assert np.max(np.abs(at_inf.cheirank.probabilities - chei.probabilities)) <= 10 * tol, name
 
@@ -128,9 +138,7 @@ def test_filter_config_validation():
         FilterConfig(mode="unknown")
     with pytest.raises(ValueError):
         FilterConfig(eta=-1.0)
-    with pytest.raises(ValueError):
-        FilterConfig(eta=float("inf"))  # use eta_inf instead
-    assert FilterConfig(eta_inf=True).eta_inf
+    assert FilterConfig(eta=float("inf")).eta == float("inf")
 
 
 def test_diagonal_mass_migrates_away_with_eta():
