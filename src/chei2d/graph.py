@@ -16,6 +16,8 @@ from typing import IO
 
 import numpy as np
 
+from ._bulk import leading_block_end, load_rows
+
 __all__ = [
     "DirectedGraph",
     "EdgeListParseError",
@@ -29,6 +31,8 @@ __all__ = [
 
 # Node ids and counts are stored as int64.
 _MAX_ID = int(np.iinfo(np.int64).max)
+# One link row of the bulk edge-list parse: exactly two integer ids.
+_LINK_ROW = np.dtype([("src", np.int64), ("dst", np.int64)])
 
 
 class EdgeListParseError(ValueError):
@@ -41,6 +45,20 @@ class EdgeListParseError(ValueError):
 
 class GenerationError(RuntimeError):
     """A synthetic degree sequence could not be realized."""
+
+
+def _in_order(*keys: np.ndarray) -> bool:
+    """Whether rows are in lexicographic order of ``keys``, the first key
+    most significant.  An O(n) check that lets already-sorted links (an
+    edge list written by :func:`serialize_edge_list`, for one) skip a
+    stable sort, which would leave them unchanged."""
+    tied = np.ones(keys[0].size - 1, dtype=bool)
+    for key in keys:
+        prev, cur = key[:-1], key[1:]
+        if np.any(tied & (cur < prev)):
+            return False
+        tied &= cur == prev
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +99,13 @@ class DirectedGraph:
                 raise ValueError("link endpoint outside [1, node_count]")
             if not np.all(np.isfinite(weight)) or np.any(weight <= 0):
                 raise ValueError("link weights must be positive and finite")
-            order = np.lexsort((weight, dst, src))
-            src, dst, weight = src[order], dst[order], weight[order]
+            if _in_order(src, dst, weight):
+                # Copy as the sort would have: a graph never shares (and
+                # then freezes) arrays its caller still holds.
+                src, dst, weight = src.copy(), dst.copy(), weight.copy()
+            else:
+                order = np.lexsort((weight, dst, src))
+                src, dst, weight = src[order], dst[order], weight[order]
         for arr in (src, dst, weight):
             arr.setflags(write=False)
         object.__setattr__(self, "src", src)
@@ -170,8 +193,11 @@ class DirectedGraph:
             return cls(node_count, src, dst, weight, weighted=weighted)
         if not src.size:
             return cls(node_count, src, dst, weight, weighted=weighted)
-        order = np.lexsort((dst, src))
-        s, d, w = src[order], dst[order], weight[order]
+        if _in_order(src, dst):
+            s, d, w = src, dst, weight
+        else:
+            order = np.lexsort((dst, src))
+            s, d, w = src[order], dst[order], weight[order]
         starts = np.concatenate(([True], (s[1:] != s[:-1]) | (d[1:] != d[:-1])))
         first = np.flatnonzero(starts)
         if weighted:
@@ -206,12 +232,37 @@ def parse_edge_list(
     :class:`ValueError` for out-of-domain values (non-positive ids,
     non-positive weights, empty input without a header).
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
+    text = source if isinstance(source, str) else source.read()
+    start = leading_block_end(text, _is_head_line)
+    links = load_rows(text[start:], b"", _LINK_ROW)
+    if links is None or min(links["src"].min(), links["dst"].min()) < 1:
+        declared, max_id, src, dst, weight = _parse_lines(io.StringIO(text), drop_self_loops)
+    else:
+        declared, *_ = _parse_lines(io.StringIO(text[:start]), drop_self_loops)
+        src, dst = links["src"], links["dst"]
+        max_id = int(max(src.max(), dst.max()))
+        if drop_self_loops:
+            keep = src != dst
+            src, dst = src[keep], dst[keep]
+        weight = None
+    if max_id == 0 and declared is None:
+        raise ValueError("empty edge list and no 'N <count>' header")
+    node_count = max(max_id, declared or 0)
+    return DirectedGraph.from_links(
+        node_count, src, dst, weight if weighted else None, weighted=weighted
+    )
+
+
+def _is_head_line(line: str) -> bool:
+    return not line or line.startswith("#") or line.split()[0] == "N"
+
+
+def _parse_lines(lines, drop_self_loops: bool):
+    """The line loop: (declared count or None, largest id, src, dst, weight)."""
     declared: int | None = None
     srcs, dsts, ws = array("q"), array("q"), array("d")
     max_id = 0
-    for lineno, raw in enumerate(source, 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -256,13 +307,13 @@ def parse_edge_list(
         srcs.append(s)
         dsts.append(d)
         ws.append(w)
-    if max_id == 0 and declared is None:
-        raise ValueError("empty edge list and no 'N <count>' header")
-    node_count = max(max_id, declared or 0)
-    src = np.frombuffer(srcs, dtype=np.int64)
-    dst = np.frombuffer(dsts, dtype=np.int64)
-    weight = np.frombuffer(ws, dtype=np.float64) if weighted else None
-    return DirectedGraph.from_links(node_count, src, dst, weight, weighted=weighted)
+    return (
+        declared,
+        max_id,
+        np.frombuffer(srcs, dtype=np.int64),
+        np.frombuffer(dsts, dtype=np.int64),
+        np.frombuffer(ws, dtype=np.float64),
+    )
 
 
 def read_edge_list(path, **kwargs) -> DirectedGraph:

@@ -72,12 +72,19 @@ def correlator(r: TwoDRanking, tau: int = 0) -> float:
     (never wrapped).  kappa(0) uses all N terms and vanishes for uniform
     vectors; the drop rule bounds every value below by -1.
     """
-    n = r.node_count
     tau = int(tau)
-    if abs(tau) >= n:
+    if abs(tau) >= r.node_count:
         raise ValueError("|tau| must be smaller than the node count")
-    p_by_rank = r.pagerank.probability_by_rank()
-    pstar_at_rank = r.cheirank.probabilities[r.pagerank.order - 1]
+    return _shifted_correlator(*_rank_aligned(r), tau)
+
+
+def _rank_aligned(r: TwoDRanking) -> tuple[np.ndarray, np.ndarray]:
+    """P by PageRank position, and P* of the node at each PageRank position."""
+    return r.pagerank.probability_by_rank(), r.cheirank.probabilities[r.pagerank.order - 1]
+
+
+def _shifted_correlator(p_by_rank: np.ndarray, pstar_at_rank: np.ndarray, tau: int) -> float:
+    n = p_by_rank.size
     if tau >= 0:
         s = np.dot(p_by_rank[tau:], pstar_at_rank[: n - tau])
     else:
@@ -107,7 +114,8 @@ def correlator_series(
     lo = max(tau_min, -(n - 1))
     hi = min(tau_max, n - 1)
     taus = np.arange(lo, hi + 1, dtype=np.int64)
-    kappas = np.array([correlator(r, int(t)) for t in taus])
+    aligned = _rank_aligned(r)
+    kappas = np.array([_shifted_correlator(*aligned, int(t)) for t in taus])
     return CorrelatorSeries(taus, kappas)
 
 
@@ -299,11 +307,13 @@ def matrix_density_render(
         raise ValueError("alpha must be in (0, 1]")
     if cells < 1:
         raise ValueError("cells must be >= 1")
+    if raw_window < 0:
+        raise ValueError("raw_window must be >= 0")
     n = g.node_count
     k = np.asarray(k_index, dtype=np.int64)
     if k.shape != (n,) or not np.array_equal(np.sort(k), np.arange(1, n + 1)):
         raise ValueError("k_index must be a permutation of 1..node_count")
-    raw_window = max(0, min(int(raw_window), n))
+    raw_window = min(int(raw_window), n)
     block = (k - 1) * cells // n
     ranks_per_block = np.bincount(np.arange(n) * cells // n, minlength=cells)
     strength = g.out_strength if g.weighted else g.out_degree.astype(np.float64)

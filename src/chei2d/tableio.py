@@ -9,16 +9,21 @@ so a table re-read reproduces the vectors bit for bit.
 from __future__ import annotations
 
 import io
+from array import array
 from typing import IO
 
 import numpy as np
 
+from ._bulk import leading_block_end, load_rows
 from .ranking import RankVector, TwoDRanking
 
 __all__ = ["write_rank_table", "read_rank_table", "serialize_rank_table", "write_rows"]
 
 _MAGIC = "chei2d-rank-table"
 _CHUNK_ROWS = 1 << 16
+# One row of the bulk table parse: node_id P K Pstar Kstar.
+_ROW = np.dtype([("node", np.int64), ("p", np.float64), ("k", np.int64),
+                 ("pstar", np.float64), ("kstar", np.int64)])
 
 
 def write_rows(fp: IO[str], header_lines, *columns, sep: str = "\t") -> None:
@@ -109,39 +114,21 @@ def read_rank_table(source) -> tuple[TwoDRanking, dict]:
 
 
 def _read(fp: IO[str]) -> tuple[TwoDRanking, dict]:
-    params: dict = {}
-    rows: list[tuple[int, float, int, float, int]] = []
-    for lineno, raw in enumerate(fp, 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                params[key.strip()] = _coerce(value.strip())
-            continue
-        tokens = line.split()
-        if len(tokens) != 5:
-            raise ValueError(f"rank table line {lineno}: expected 5 columns")
-        try:
-            rows.append(
-                (int(tokens[0]), float(tokens[1]), int(tokens[2]),
-                 float(tokens[3]), int(tokens[4]))
-            )
-        except ValueError:
-            raise ValueError(f"rank table line {lineno}: malformed values") from None
-    if not rows:
+    text = fp.read()
+    start = leading_block_end(text, lambda line: not line or line.startswith("#"))
+    rows = load_rows(text[start:], b".eE+-", _ROW)
+    if rows is None:
+        params, columns = _parse_lines(io.StringIO(text))
+    else:
+        params, _ = _parse_lines(io.StringIO(text[:start]))
+        columns = [rows[name] for name in _ROW.names]
+    node_id, p, k, ps, ks = columns
+    if not node_id.size:
         raise ValueError("rank table holds no data rows")
-    n = len(rows)
-    node_id = np.array([row[0] for row in rows], dtype=np.int64)
-    if not np.array_equal(np.sort(node_id), np.arange(1, n + 1)):
+    if not np.array_equal(np.sort(node_id), np.arange(1, node_id.size + 1)):
         raise ValueError("rank table node ids must cover 1..N exactly once")
     by_node = np.argsort(node_id)
-    p = np.array([rows[i][1] for i in by_node])
-    k = np.array([rows[i][2] for i in by_node], dtype=np.int64)
-    ps = np.array([rows[i][3] for i in by_node])
-    ks = np.array([rows[i][4] for i in by_node], dtype=np.int64)
+    p, k, ps, ks = p[by_node], k[by_node], ps[by_node], ks[by_node]
 
     def build(name: str, prob: np.ndarray, index: np.ndarray, column: str) -> RankVector:
         vec = RankVector.from_probabilities(
@@ -158,3 +145,28 @@ def _read(fp: IO[str]) -> tuple[TwoDRanking, dict]:
 
     ranking = TwoDRanking(build("pagerank", p, k, "K"), build("cheirank", ps, ks, "Kstar"))
     return ranking, params
+
+
+def _parse_lines(lines) -> tuple[dict, list[np.ndarray]]:
+    """The line loop: header parameters and the five columns in file order."""
+    params: dict = {}
+    columns = [array(code) for code in "qdqdq"]
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                params[key.strip()] = _coerce(value.strip())
+            continue
+        tokens = line.split()
+        if len(tokens) != 5:
+            raise ValueError(f"rank table line {lineno}: expected 5 columns")
+        try:
+            for column, cast, token in zip(columns, (int, float, int, float, int), tokens):
+                column.append(cast(token))
+        except (ValueError, OverflowError):
+            raise ValueError(f"rank table line {lineno}: malformed values") from None
+    return params, [np.frombuffer(column, dtype=column.typecode) for column in columns]

@@ -204,6 +204,15 @@ def test_matrix_three_cycle_explicit_grid(cycle_file, tmp_path):
     assert np.array(raw).shape == (3, 3)
 
 
+@pytest.mark.parametrize("flag, value", [("--raw-window", "-4"), ("--cells", "0")])
+def test_matrix_rejects_negative_window_and_empty_grid(cycle_file, tmp_path, capsys,
+                                                       flag, value):
+    out = tmp_path / "m"
+    assert run("matrix", cycle_file, flag, value, "--out", out) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_twodrank_with_subset(cycle_file, tmp_path):
     ranks = tmp_path / "r"
     out = tmp_path / "t"

@@ -1,13 +1,20 @@
+from unittest import mock
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
 
 from chei2d import (
+    DirectedGraph,
     EdgeListParseError,
     parse_edge_list,
+    read_edge_list,
     serialize_edge_list,
     synth_scale_free,
 )
+from chei2d import graph as graph_module
+from chei2d._bulk import load_rows
 from strategies import graphs, link_lines
 
 
@@ -144,6 +151,15 @@ def test_duplicate_accounting(lines):
     assert g.collapsed_duplicates + g.link_count == len(lines)
 
 
+def test_links_in_order_are_copied_and_ties_sorted_by_weight():
+    src, dst = np.array([1, 1, 2]), np.array([2, 3, 3])
+    g = DirectedGraph(3, src, dst, np.ones(3))
+    src[0] = 2
+    assert g.src.tolist() == [1, 1, 2]
+    parallel = DirectedGraph(2, [1, 1, 1], [2, 2, 2], [2.0, 1.0, 3.0], weighted=True)
+    assert parallel.weight.tolist() == [1.0, 2.0, 3.0]
+
+
 def test_serialize_sorted_by_source_then_destination():
     g = parse_edge_list("3 1\n1 5\n1 2\n")
     assert serialize_edge_list(g) == "N 5\n1 2\n1 5\n3 1\n"
@@ -185,3 +201,105 @@ def zipf_tail_mle(degrees, k_min=5):
 def test_synth_in_degree_exponent():
     g = synth_scale_free(10_000, 2.1, 2.7, seed=7)
     assert abs(zipf_tail_mle(g.in_degree) - 2.1) <= 0.15
+
+
+# -- bulk parse against the line loop ------------------------------------------
+
+
+def _outcome(parse, text, **kwargs):
+    try:
+        return parse(text, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "lineno", None)
+
+
+def _bulk_and_loop(text, **kwargs):
+    """parse_edge_list's outcome as is, whether numpy's parse accepted the
+    body, and the outcome with the bulk path declining every input."""
+    accepted = []
+
+    def spy(*args):
+        rows = load_rows(*args)
+        accepted.append(rows is not None)
+        return rows
+
+    with mock.patch.object(graph_module, "load_rows", spy):
+        bulk = _outcome(parse_edge_list, text, **kwargs)
+    with mock.patch.object(graph_module, "load_rows", lambda *args: None):
+        loop = _outcome(parse_edge_list, text, **kwargs)
+    return bulk, accepted == [True], loop
+
+
+def _assert_same(bulk, loop):
+    assert bulk == loop
+    if isinstance(loop, DirectedGraph):
+        assert bulk.collapsed_duplicates == loop.collapsed_duplicates
+
+
+@given(link_lines(), st.booleans(), st.booleans(), st.booleans())
+def test_bulk_parse_matches_line_loop(lines, header, weighted, drop_self_loops):
+    text = ("# generated\nN 15\n" if header else "") + "".join(
+        f"{s} {d}\n" for s, d in lines
+    )
+    bulk, accepted, loop = _bulk_and_loop(
+        text, weighted=weighted, drop_self_loops=drop_self_loops
+    )
+    _assert_same(bulk, loop)
+    assert accepted == bool(lines)
+
+
+@pytest.mark.parametrize("text, accepted", [
+    ("1 2\n2 3\n3 1\n", True),
+    ("# c\n\nN 9\n  # indented comment\n1 2\n", True),
+    ("05 2\n007 5\n", True),
+    ("1\t2\n3 \t 4\t\n", True),
+    ("  1   2  \n\n \t \n3 4", True),
+    ("1 2\n2 3\n\n\n", True),
+    ("1 1\n1 2\n2 2\n1 2\n", True),
+    ("9223372036854775807 1\n", True),
+    ("+5 1\n", False),
+    ("1_0 2\n", False),
+    ("1 2\r\n2 3\r\n", False),
+    ("1 2\r3 4\n", False),
+    ("1 2\x0c\n", False),
+    ("1 2\n# late comment\n2 3\n", False),
+    ("1 2\nN 9\n", False),
+    ("1 2\nN 1\n", False),
+    ("١ 2\n", False),
+    ("1 ٢\n", False),
+    ("1 2 3\n2 3 4\n", False),
+    ("1 2\n2 3 4\n", False),
+    ("1 2 0.5\n1 2 2.0\n", False),
+    ("1 2 0\n", False),
+    ("1 2 abc\n", False),
+    ("0 2\n", True),  # parsed in bulk, then declined by the id check
+    ("1 2\n2 0\n", True),
+    ("1 -3\n", False),
+    ("1 2\n2 99999999999999999999\n", False),
+    ("1 2\n9223372036854775808 1\n", False),
+    ("1\n", False),
+    ("1 2 3 4\n", False),
+    ("1 2\nnot numbers\n", False),
+    ("N5\n1 2\n", False),
+    ("N 99999999999999999999\n1 2\n", True),
+    ("N 0\n1 2\n", True),
+    ("N x\n1 2\n", True),
+    ("N 2\nN 3\n1 2\n", True),
+    ("N 3\n", False),
+    ("# only a comment\n", False),
+    ("", False),
+])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("drop_self_loops", [False, True])
+def test_bulk_parse_corpus_matches_line_loop(text, accepted, weighted, drop_self_loops):
+    bulk, bulk_accepted, loop = _bulk_and_loop(
+        text, weighted=weighted, drop_self_loops=drop_self_loops
+    )
+    _assert_same(bulk, loop)
+    assert bulk_accepted == accepted
+
+
+def test_read_edge_list_translates_crlf(tmp_path):
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(b"N 4\r\n1 2\r\n2 3\r\n\r\n")
+    assert read_edge_list(path) == parse_edge_list("N 4\n1 2\n2 3\n")

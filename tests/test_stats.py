@@ -96,6 +96,7 @@ def test_correlator_series_holds_scalar_at_zero():
     at_zero = series.kappa[series.tau == 0][0]
     assert at_zero == correlator(r, 0)
     assert series.tau.min() == -2 and series.tau.max() == 2
+    assert series.kappa.tolist() == [correlator(r, t) for t in range(-2, 3)]
 
 
 def test_correlator_series_clips_to_valid_window():
