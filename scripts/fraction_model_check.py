@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from chei2d import analytic_fraction, filter_links_by_rank, synth_rank_ensemble
+from chei2d._bulk import write_rows
 
 PARAM_SETS = ((1.0, 0.0), (0.4, 0.0), (0.4, 0.8))
 
@@ -33,15 +34,13 @@ def main() -> int:
     for a, nu in PARAM_SETS:
         g = synth_rank_ensemble(args.nodes, args.links, a, nu, args.seed)
         path = out / f"fraction_a{a}_nu{nu}.tsv"
-        worst = 0.0
+        measured = np.array([filter_links_by_rank(g, identity, eta).fraction for eta in etas])
+        model = np.array([analytic_fraction(eta, a, nu) for eta in etas])
+        worst = float(np.max(np.abs(measured - model)))
+        header = [f"a={a} nu={nu} nodes={args.nodes} links={args.links}",
+                  "columns: eta_k measured analytic"]
         with open(path, "w", encoding="utf-8") as fp:
-            fp.write(f"# a={a} nu={nu} nodes={args.nodes} links={args.links}\n")
-            fp.write("# columns: eta_k measured analytic\n")
-            for eta in etas:
-                measured = filter_links_by_rank(g, identity, float(eta)).fraction
-                model = analytic_fraction(float(eta), a, nu)
-                worst = max(worst, abs(measured - model))
-                fp.write(f"{float(eta)!r}\t{measured!r}\t{model!r}\n")
+            write_rows(fp, header, etas, measured, model)
         print(f"a={a} nu={nu}: worst |measured - analytic| = {worst:.4f} -> {path}")
     return 0
 

@@ -1,19 +1,40 @@
-"""Bulk parsing of whitespace-separated numeric rows.
+"""Bulk reading and writing of numeric rows.
 
 The edge-list and rank-table readers each keep a line loop that is the
 only source of their accept/reject rules and error messages.  This
 module is their fast path: numpy's C text parser reads the body of a
 file in one call, and declines (returns None) any body it could read
 differently from the line loop, which then parses the whole file again.
+:func:`write_rows` writes the rows of every data file.
 """
 
 from __future__ import annotations
 
 import io
+from typing import IO
 
 import numpy as np
 
 _DIGITS_AND_WHITESPACE = b"0123456789 \t\n"
+_CHUNK_ROWS = 1 << 16
+
+
+def write_rows(fp: IO[str], header_lines, *columns, sep: str = "\t") -> None:
+    """Write each header line as '# line', then one row per index of the
+    equal-length ``columns``.
+
+    Every value prints through ``repr`` of its ``.tolist()`` element, so
+    ints print as ``str`` does and floats with round-trip precision; bool
+    columns print as 0/1.  Rows are formatted in chunks, which bounds the
+    memory held by the row text.
+    """
+    fp.writelines(f"# {line}\n" for line in header_lines)
+    arrays = [np.asarray(c) for c in columns]
+    arrays = [a.astype(np.int64) if a.dtype == bool else a for a in arrays]
+    row = sep.join(["{!r}"] * len(arrays)) + "\n"
+    for start in range(0, len(arrays[0]) if arrays else 0, _CHUNK_ROWS):
+        chunk = (a[start:start + _CHUNK_ROWS].tolist() for a in arrays)
+        fp.write("".join(map(row.format, *chunk)))
 
 
 def leading_block_end(text: str, is_head) -> int:

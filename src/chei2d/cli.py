@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._bulk import write_rows
 from .flow import compute_flow, fixed_point_cell
 from .graph import read_edge_list, serialize_edge_list, synth_scale_free
 from .ranking import (
@@ -31,6 +32,7 @@ from .ranking import (
 )
 from .spamfilter import FilterConfig, check_eta, filtered_cheirank, measure_fraction_curve
 from .stats import (
+    check_render_size,
     component_histogram,
     correlator,
     correlator_components,
@@ -39,7 +41,7 @@ from .stats import (
     matrix_density_render,
     point_count_curve,
 )
-from .tableio import read_rank_table, write_rank_table, write_rows
+from .tableio import read_rank_table, write_rank_table
 from .twodrank import local_rank, two_d_rank
 
 EXIT_OK = 0
@@ -227,6 +229,7 @@ def cmd_filter(args):
 
 
 def cmd_matrix(args):
+    check_render_size(args.cells, args.raw_window)
     g = _read_graph(args)
     computed = {}
     if args.ranks:

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bulk import write_rows
 from .graph import DirectedGraph
 from .ranking import TwoDRanking
 from .stats import bin_ranks
-from .tableio import write_rows
 
 __all__ = ["FlowField", "compute_flow", "fixed_point_cell"]
 

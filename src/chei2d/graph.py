@@ -16,7 +16,7 @@ from typing import IO
 
 import numpy as np
 
-from ._bulk import leading_block_end, load_rows
+from ._bulk import leading_block_end, load_rows, write_rows
 
 __all__ = [
     "DirectedGraph",
@@ -31,8 +31,9 @@ __all__ = [
 
 # Node ids and counts are stored as int64.
 _MAX_ID = int(np.iinfo(np.int64).max)
-# One link row of the bulk edge-list parse: exactly two integer ids.
+# The link rows of the bulk edge-list parse: two integer ids, then a weight.
 _LINK_ROW = np.dtype([("src", np.int64), ("dst", np.int64)])
+_WEIGHTED_LINK_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
 
 
 class EdgeListParseError(ValueError):
@@ -66,9 +67,10 @@ class DirectedGraph:
     """A directed graph with nodes ``1 .. node_count``.
 
     Links are parallel arrays (src, dst, weight) kept sorted by
-    (src, dst, weight).  Graphs built through :func:`parse_edge_list` or
-    :meth:`from_links` have duplicate (src, dst) pairs collapsed (binary
-    adjacency; weights summed in weighted mode).  Graphs assembled
+    (src, dst, weight); an unweighted graph's weights are all 1.  Graphs
+    built through :func:`parse_edge_list` or :meth:`from_links` have
+    duplicate (src, dst) pairs collapsed (binary adjacency; weights
+    summed in weighted mode).  Graphs assembled
     directly from arrays, e.g. by the link-inversion filter, may carry
     parallel links; each one then counts separately toward degrees and
     column normalization.
@@ -99,6 +101,8 @@ class DirectedGraph:
                 raise ValueError("link endpoint outside [1, node_count]")
             if not np.all(np.isfinite(weight)) or np.any(weight <= 0):
                 raise ValueError("link weights must be positive and finite")
+            if not self.weighted and np.any(weight != 1.0):
+                raise ValueError("every link of an unweighted graph must have weight 1")
             if _in_order(src, dst, weight):
                 # Copy as the sort would have: a graph never shares (and
                 # then freezes) arrays its caller still holds.
@@ -139,16 +143,9 @@ class DirectedGraph:
         s.setflags(write=False)
         return s
 
-    @cached_property
-    def dangling_nodes(self) -> np.ndarray:
-        """0-based indices of nodes without outgoing links."""
-        idx = np.flatnonzero(self.out_degree == 0)
-        idx.setflags(write=False)
-        return idx
-
     def reverse(self) -> "DirectedGraph":
         """Graph with every link direction flipped.  An involution that
-        swaps the in- and out-degree vectors exactly."""
+        swaps the in- and out-degree vectors exactly; no solver builds it."""
         return DirectedGraph(
             self.node_count, self.dst, self.src, self.weight, weighted=self.weighted
         )
@@ -179,19 +176,17 @@ class DirectedGraph:
     ) -> "DirectedGraph":
         """Build a graph from link arrays.
 
-        With ``collapse`` (the ingestion default) duplicate (src, dst)
-        pairs merge into one link: weights are summed in weighted mode and
-        forced to 1 otherwise.  ``collapse=False`` keeps the multiset.
+        Without ``weighted`` every weight is 1.  With ``collapse`` (the
+        ingestion default) duplicate (src, dst) pairs merge into one link,
+        weights summed.  ``collapse=False`` keeps the multiset.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
-        if weight is None:
+        if weight is None or not weighted:
             weight = np.ones(src.size, dtype=np.float64)
         else:
             weight = np.asarray(weight, dtype=np.float64)
-        if not collapse:
-            return cls(node_count, src, dst, weight, weighted=weighted)
-        if not src.size:
+        if not collapse or not src.size:
             return cls(node_count, src, dst, weight, weighted=weighted)
         if _in_order(src, dst):
             s, d, w = src, dst, weight
@@ -200,15 +195,11 @@ class DirectedGraph:
             s, d, w = src[order], dst[order], weight[order]
         starts = np.concatenate(([True], (s[1:] != s[:-1]) | (d[1:] != d[:-1])))
         first = np.flatnonzero(starts)
-        if weighted:
-            merged = np.add.reduceat(w, first)
-        else:
-            merged = np.ones(first.size, dtype=np.float64)
         return cls(
             node_count,
             s[first],
             d[first],
-            merged,
+            np.add.reduceat(w, first) if weighted else w[first],
             weighted=weighted,
             collapsed_duplicates=int(s.size - first.size),
         )
@@ -234,23 +225,36 @@ def parse_edge_list(
     """
     text = source if isinstance(source, str) else source.read()
     start = leading_block_end(text, _is_head_line)
-    links = load_rows(text[start:], b"", _LINK_ROW)
-    if links is None or min(links["src"].min(), links["dst"].min()) < 1:
+    links = _load_links(text[start:])
+    if links is None:
         declared, max_id, src, dst, weight = _parse_lines(io.StringIO(text), drop_self_loops)
     else:
         declared, *_ = _parse_lines(io.StringIO(text[:start]), drop_self_loops)
-        src, dst = links["src"], links["dst"]
+        src, dst, weight = links
         max_id = int(max(src.max(), dst.max()))
         if drop_self_loops:
             keep = src != dst
-            src, dst = src[keep], dst[keep]
-        weight = None
+            src, dst, weight = src[keep], dst[keep], weight[keep]
     if max_id == 0 and declared is None:
         raise ValueError("empty edge list and no 'N <count>' header")
     node_count = max(max_id, declared or 0)
-    return DirectedGraph.from_links(
-        node_count, src, dst, weight if weighted else None, weighted=weighted
-    )
+    return DirectedGraph.from_links(node_count, src, dst, weight, weighted=weighted)
+
+
+def _load_links(body: str):
+    """(src, dst, weight) of an edge-list body read in bulk, or None where
+    the line loop must decide: numpy declined the body, or it holds an id
+    below 1 or a weight that is not finite and positive."""
+    rows = load_rows(body, b"", _LINK_ROW)
+    if rows is None:
+        rows = load_rows(body, b".eE+-", _WEIGHTED_LINK_ROW)
+        if rows is None or not np.all(np.isfinite(rows["weight"]) & (rows["weight"] > 0)):
+            return None
+    if min(rows["src"].min(), rows["dst"].min()) < 1:
+        return None
+    # unit weights of two-column rows, without allocating them
+    weight = rows["weight"] if "weight" in rows.dtype.names else np.broadcast_to(1.0, rows.shape)
+    return rows["src"], rows["dst"], weight
 
 
 def _is_head_line(line: str) -> bool:
@@ -329,14 +333,11 @@ def serialize_edge_list(g: DirectedGraph) -> str:
     Parallel links serialize as repeated lines and will collapse again on
     re-parse; only collapsed graphs round-trip identically.
     """
-    lines = [f"N {g.node_count}"]
-    if g.weighted:
-        lines.extend(
-            f"{s} {d} {float(w)!r}" for s, d, w in zip(g.src, g.dst, g.weight)
-        )
-    else:
-        lines.extend(f"{s} {d}" for s, d in zip(g.src, g.dst))
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    buf.write(f"N {g.node_count}\n")
+    columns = (g.src, g.dst, g.weight) if g.weighted else (g.src, g.dst)
+    write_rows(buf, [], *columns, sep=" ")
+    return buf.getvalue()
 
 
 def write_edge_list(g: DirectedGraph, path) -> None:

@@ -3,9 +3,9 @@
 The damped transition operator alpha*S + (1-alpha)/N acts without ever
 materializing an N x N matrix: real links live in a sparse matrix and
 dangling columns are folded into a per-application scalar.  CheiRank is,
-by definition, the PageRank of the link-reversed graph and is computed
-exactly that way.  A dense direct solver is provided as a test oracle
-for small instances.
+by definition, the PageRank of the link-reversed graph, computed from
+the graph's own links with tail and head swapped.  A dense direct solver
+is provided as a test oracle for small instances.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "RankVector",
     "TwoDRanking",
     "StochasticOperator",
+    "normalized_links",
     "rank_order",
     "pagerank",
     "cheirank",
@@ -88,17 +89,11 @@ class RankVector:
         cls,
         probabilities,
         *,
-        normalize: bool = False,
         iterations_used: int = 0,
         residual: float = 0.0,
         converged: bool = True,
     ) -> "RankVector":
         p = np.asarray(probabilities, dtype=np.float64)
-        if normalize:
-            total = p.sum()
-            if total <= 0:
-                raise ValueError("cannot normalize a zero probability vector")
-            p = p / total
         index = rank_order(p)
         order = np.empty(p.size, dtype=np.int64)
         order[index - 1] = np.arange(1, p.size + 1)
@@ -156,38 +151,41 @@ class TwoDRanking:
 
     @classmethod
     def from_probabilities(cls, p, pstar) -> "TwoDRanking":
-        return cls(
-            RankVector.from_probabilities(p, normalize=True),
-            RankVector.from_probabilities(pstar, normalize=True),
-        )
+        """Pair two nonnegative weight vectors, each divided by its total."""
+        vectors = [np.asarray(v, dtype=np.float64) for v in (p, pstar)]
+        if min(v.sum() for v in vectors) <= 0:
+            raise ValueError("cannot normalize a zero probability vector")
+        return cls(*(RankVector.from_probabilities(v / v.sum()) for v in vectors))
+
+
+def normalized_links(node_count: int, tail, weight, alpha: float):
+    """The damped operator's one normalization rule: (the value
+    ``alpha * w / strength[tail - 1]`` of each link, the 0-based dangling
+    columns), where a column's strength is the total weight of the links
+    leaving it and a column of zero strength is dangling."""
+    strength = np.bincount(tail, weights=weight, minlength=node_count + 1)[1:]
+    return alpha * weight / strength[tail - 1], np.flatnonzero(strength == 0.0)
 
 
 class StochasticOperator:
     """Sparse action of the damped operator alpha*S + (1-alpha)/N.
 
-    Columns of real links are normalized by out-degree (out-strength in
-    weighted mode); dangling columns stay implicit and contribute their
-    probability mass uniformly at application time, keeping memory at
-    O(links + N).
+    Columns of real links are normalized by :func:`normalized_links`;
+    dangling columns stay implicit and contribute their probability mass
+    uniformly at application time, keeping memory at O(links + N).
+    ``reverse=True`` is exactly the operator of ``graph.reverse()``.
     """
 
-    def __init__(self, graph: DirectedGraph, alpha: float = DEFAULT_ALPHA):
+    def __init__(self, graph: DirectedGraph, alpha: float = DEFAULT_ALPHA, *,
+                 reverse: bool = False):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         self.graph = graph
         self.alpha = float(alpha)
         n = graph.node_count
-        strength = (
-            graph.out_strength if graph.weighted else graph.out_degree.astype(np.float64)
-        )
-        self.dangling = np.flatnonzero(strength == 0.0)
-        if graph.link_count:
-            data = self.alpha * graph.weight / strength[graph.src - 1]
-            self.matrix = sp.csr_matrix(
-                (data, (graph.dst - 1, graph.src - 1)), shape=(n, n)
-            )
-        else:
-            self.matrix = sp.csr_matrix((n, n), dtype=np.float64)
+        tail, head = (graph.dst, graph.src) if reverse else (graph.src, graph.dst)
+        data, self.dangling = normalized_links(n, tail, graph.weight, self.alpha)
+        self.matrix = sp.csr_matrix((data, (head - 1, tail - 1)), shape=(n, n))
 
     @property
     def node_count(self) -> int:
@@ -203,7 +201,7 @@ class StochasticOperator:
         if v.shape != (n,):
             raise ValueError("vector length does not match node count")
         out = self.matrix.dot(v)
-        dangling_mass = float(v[self.dangling].sum()) if self.dangling.size else 0.0
+        dangling_mass = float(v[self.dangling].sum())
         out += (self.alpha * dangling_mass + (1.0 - self.alpha)) / n
         return out
 
@@ -220,17 +218,30 @@ def pagerank(
     step drops below ``tol`` or ``max_iter`` is reached; in the latter
     case the result carries ``converged=False`` rather than raising.
     """
+    return _power_iteration(g, alpha, tol, max_iter, reverse=False)
+
+
+def cheirank(
+    g: DirectedGraph,
+    alpha: float = DEFAULT_ALPHA,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> RankVector:
+    """PageRank of the link-reversed graph, equal bit for bit to
+    ``pagerank(g.reverse())``, from ``g``'s own links."""
+    return _power_iteration(g, alpha, tol, max_iter, reverse=True)
+
+
+def _power_iteration(g: DirectedGraph, alpha, tol, max_iter, reverse: bool) -> RankVector:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    op = StochasticOperator(g, alpha=alpha)
+    op = StochasticOperator(g, alpha=alpha, reverse=reverse)
     n = g.node_count
     v = np.full(n, 1.0 / n)
-    residual = float("inf")
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         nxt = op.apply(v)
         residual = float(np.abs(nxt - v).sum())
@@ -245,16 +256,6 @@ def pagerank(
     )
 
 
-def cheirank(
-    g: DirectedGraph,
-    alpha: float = DEFAULT_ALPHA,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> RankVector:
-    """PageRank of the link-reversed graph (identical by definition)."""
-    return pagerank(g.reverse(), alpha=alpha, tol=tol, max_iter=max_iter)
-
-
 _DENSE_LIMIT = 2000
 
 
@@ -263,13 +264,12 @@ def _dense_stochastic(g: DirectedGraph) -> np.ndarray:
     if n > _DENSE_LIMIT:
         raise ValueError(f"dense path refuses graphs larger than {_DENSE_LIMIT} nodes")
     S = np.zeros((n, n))
-    if g.link_count:
-        np.add.at(S, (g.dst - 1, g.src - 1), g.weight)
-    strength = g.out_strength if g.weighted else g.out_degree.astype(np.float64)
-    filled = strength > 0
-    S[:, filled] /= strength[filled]
+    np.add.at(S, (g.dst - 1, g.src - 1), g.weight)
+    filled = g.out_strength > 0
+    S[:, filled] /= g.out_strength[filled]
     S[:, ~filled] = 1.0 / n
     return S
+
 
 def dense_google_matrix(g: DirectedGraph, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
     """Full damped matrix for small graphs; element (i-1, j-1) is the

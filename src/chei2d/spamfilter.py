@@ -195,17 +195,15 @@ def measure_fraction_curve(
     g: DirectedGraph,
     etas,
     mode: str = "probability",
-    ranking: RankVector | None = None,
-    alpha: float = DEFAULT_ALPHA,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    *,
+    ranking: RankVector,
 ) -> np.ndarray:
     """Measured inverted-link fraction at each filter value.
 
-    ``etas`` must be >= 0 and ascending (np.inf allowed as the last
-    entries); the returned fractions are then non-decreasing because the
-    inversion set only grows with the threshold.  ``ranking`` skips the
-    internal PageRank computation when supplied.
+    ``ranking`` is the PageRank of ``g``.  ``etas`` must be >= 0 and
+    ascending (np.inf allowed as the last entries); the returned fractions
+    are then non-decreasing because the inversion set only grows with the
+    threshold.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -215,8 +213,6 @@ def measure_fraction_curve(
     check_eta(etas, "etas")
     if np.any(np.diff(etas) < 0):
         raise ValueError("etas must be sorted ascending")
-    if ranking is None:
-        ranking = pagerank(g, alpha=alpha, tol=tol, max_iter=max_iter)
     values = ranking.probabilities if mode == "probability" else ranking.index.astype(np.float64)
     out = np.empty(etas.size)
     for i, eta in enumerate(etas):

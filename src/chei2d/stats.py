@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bulk import write_rows
 from .graph import DirectedGraph
-from .ranking import DEFAULT_ALPHA, RankVector, TwoDRanking
-from .tableio import write_rows
+from .ranking import DEFAULT_ALPHA, RankVector, TwoDRanking, normalized_links
 
 __all__ = [
     "CorrelatorSeries",
@@ -24,6 +24,7 @@ __all__ = [
     "Histogram",
     "MatrixRender",
     "bin_ranks",
+    "check_render_size",
     "component_histogram",
     "correlator",
     "correlator_components",
@@ -287,6 +288,14 @@ class MatrixRender:
     raw: np.ndarray
 
 
+def check_render_size(cells: int, raw_window: int) -> None:
+    """Raise ValueError unless ``cells >= 1`` and ``raw_window >= 0``."""
+    if cells < 1:
+        raise ValueError("cells must be >= 1")
+    if raw_window < 0:
+        raise ValueError("raw_window must be >= 0")
+
+
 def matrix_density_render(
     g: DirectedGraph,
     k_index,
@@ -305,10 +314,7 @@ def matrix_density_render(
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
-    if cells < 1:
-        raise ValueError("cells must be >= 1")
-    if raw_window < 0:
-        raise ValueError("raw_window must be >= 0")
+    check_render_size(cells, raw_window)
     n = g.node_count
     k = np.asarray(k_index, dtype=np.int64)
     if k.shape != (n,) or not np.array_equal(np.sort(k), np.arange(1, n + 1)):
@@ -316,32 +322,21 @@ def matrix_density_render(
     raw_window = min(int(raw_window), n)
     block = (k - 1) * cells // n
     ranks_per_block = np.bincount(np.arange(n) * cells // n, minlength=cells)
-    strength = g.out_strength if g.weighted else g.out_degree.astype(np.float64)
+    vals, dangling = normalized_links(n, g.src, g.weight, alpha)
 
     grid = ((1.0 - alpha) / n) * np.outer(ranks_per_block, ranks_per_block)
-    dangling = np.flatnonzero(strength == 0.0)
-    if dangling.size:
-        dangling_cols = np.bincount(block[dangling], minlength=cells)
-        grid += (alpha / n) * np.outer(ranks_per_block, dangling_cols)
-    if g.link_count:
-        vals = alpha * g.weight / strength[g.src - 1]
-        flat = block[g.dst - 1] * cells + block[g.src - 1]
-        grid += np.bincount(flat, weights=vals, minlength=cells * cells).reshape(
-            cells, cells
-        )
+    dangling_cols = np.bincount(block[dangling], minlength=cells)
+    grid += (alpha / n) * np.outer(ranks_per_block, dangling_cols)
+    flat = block[g.dst - 1] * cells + block[g.src - 1]
+    grid += np.bincount(flat, weights=vals, minlength=cells * cells).reshape(cells, cells)
 
     raw = np.full((raw_window, raw_window), (1.0 - alpha) / n)
-    if raw_window:
-        top_dangling = dangling[k[dangling] <= raw_window] if dangling.size else dangling
-        for node0 in top_dangling:
-            raw[:, k[node0] - 1] += alpha / n
-        if g.link_count:
-            in_window = (k[g.src - 1] <= raw_window) & (k[g.dst - 1] <= raw_window)
-            if in_window.any():
-                vals = (alpha * g.weight / strength[g.src - 1])[in_window]
-                rows = k[g.dst[in_window] - 1] - 1
-                cols = k[g.src[in_window] - 1] - 1
-                np.add.at(raw, (rows, cols), vals)
+    # k is a permutation, so no column is named twice
+    raw[:, k[dangling[k[dangling] <= raw_window]] - 1] += alpha / n
+    in_window = (k[g.src - 1] <= raw_window) & (k[g.dst - 1] <= raw_window)
+    rows = k[g.dst[in_window] - 1] - 1
+    cols = k[g.src[in_window] - 1] - 1
+    np.add.at(raw, (rows, cols), vals[in_window])
     return MatrixRender(DensityGrid(grid, "linear", float(grid.sum())), raw)
 
 

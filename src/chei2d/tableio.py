@@ -1,4 +1,4 @@
-"""Rank-table text format and the row writer every data file goes through.
+"""Rank-table text format.
 
 One node per line, "node_id P K Pstar Kstar", preceded by '#' metadata
 lines carrying the computation parameters (alpha, tolerance, iteration
@@ -14,34 +14,15 @@ from typing import IO
 
 import numpy as np
 
-from ._bulk import leading_block_end, load_rows
+from ._bulk import leading_block_end, load_rows, write_rows
 from .ranking import RankVector, TwoDRanking
 
-__all__ = ["write_rank_table", "read_rank_table", "serialize_rank_table", "write_rows"]
+__all__ = ["write_rank_table", "read_rank_table", "serialize_rank_table"]
 
 _MAGIC = "chei2d-rank-table"
-_CHUNK_ROWS = 1 << 16
 # One row of the bulk table parse: node_id P K Pstar Kstar.
 _ROW = np.dtype([("node", np.int64), ("p", np.float64), ("k", np.int64),
                  ("pstar", np.float64), ("kstar", np.int64)])
-
-
-def write_rows(fp: IO[str], header_lines, *columns, sep: str = "\t") -> None:
-    """Write each header line as '# line', then one row per index of the
-    equal-length ``columns``.
-
-    Every value prints through ``repr`` of its ``.tolist()`` element, so
-    ints print as ``str`` does and floats with round-trip precision; bool
-    columns print as 0/1.  Rows are formatted in chunks, which bounds the
-    memory held by the row text.
-    """
-    fp.writelines(f"# {line}\n" for line in header_lines)
-    arrays = [np.asarray(c) for c in columns]
-    arrays = [a.astype(np.int64) if a.dtype == bool else a for a in arrays]
-    row = sep.join(["{!r}"] * len(arrays)) + "\n"
-    for start in range(0, len(arrays[0]) if arrays else 0, _CHUNK_ROWS):
-        chunk = (a[start:start + _CHUNK_ROWS].tolist() for a in arrays)
-        fp.write("".join(map(row.format, *chunk)))
 
 
 def _format_value(value) -> str:

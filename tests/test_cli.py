@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import chei2d.cli
 from chei2d import dense_solve_oracle, parse_edge_list
 from chei2d.cli import main
 from chei2d.tableio import read_rank_table
@@ -206,10 +207,16 @@ def test_matrix_three_cycle_explicit_grid(cycle_file, tmp_path):
 
 @pytest.mark.parametrize("flag, value", [("--raw-window", "-4"), ("--cells", "0")])
 def test_matrix_rejects_negative_window_and_empty_grid(cycle_file, tmp_path, capsys,
-                                                       flag, value):
+                                                       monkeypatch, flag, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the graph was read or ranked before the check")
+
+    monkeypatch.setattr(chei2d.cli, "pagerank", refuse)
+    monkeypatch.setattr(chei2d.cli, "read_edge_list", refuse)
     out = tmp_path / "m"
     assert run("matrix", cycle_file, flag, value, "--out", out) == 1
-    assert "error: " in capsys.readouterr().err
+    message = {"--raw-window": "raw_window must be >= 0", "--cells": "cells must be >= 1"}
+    assert capsys.readouterr().err == f"error: {message[flag]}\n"
     assert not out.exists()
 
 

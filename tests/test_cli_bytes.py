@@ -10,6 +10,8 @@ import pytest
 from chei2d.cli import main
 
 GRAPH = "1 2\n2 3\n1 3\n"
+# Float weights, a duplicate (1, 2) line whose weights sum, and a self-loop.
+WEIGHTED_GRAPH = "1 2 0.5\n2 3 1.25\n1 2 2.0\n1 3 0.75\n3 3 4.0\n3 1 1.5\n"
 
 CASES = {
     "rank": (["rank", "{edges}"], {
@@ -56,6 +58,59 @@ CASES = {
             "3\t3\n"
         ),
     }),
+    "rank-weighted": (["rank", "{weighted}", "--weighted", "--drop-self-loops"], {
+        "ranks.tsv": (
+            "# chei2d-rank-table\n"
+            "# N=3\n"
+            "# alpha=0.85\n"
+            "# max_iter=1000\n"
+            "# tol=1e-10\n"
+            "# weighted=1\n"
+            "# pagerank_iterations=73\n"
+            "# pagerank_residual=9.957612512323522e-11\n"
+            "# pagerank_converged=1\n"
+            "# cheirank_iterations=57\n"
+            "# cheirank_residual=5.889022602900695e-11\n"
+            "# cheirank_converged=1\n"
+            "# columns: node_id P K Pstar Kstar\n"
+            "1 0.356434852096576 2 0.37949762390595887 1\n"
+            "2 0.28305355715178154 3 0.2479293957799521 3\n"
+            "3 0.3605115907516422 1 0.3725729803140888 2\n"
+        ),
+    }),
+    "rank-weighted-self-loop": (["rank", "{weighted}", "--weighted"], {
+        "ranks.tsv": (
+            "# chei2d-rank-table\n"
+            "# N=3\n"
+            "# alpha=0.85\n"
+            "# max_iter=1000\n"
+            "# tol=1e-10\n"
+            "# weighted=1\n"
+            "# pagerank_iterations=26\n"
+            "# pagerank_residual=2.6078972314991233e-11\n"
+            "# pagerank_converged=1\n"
+            "# cheirank_iterations=25\n"
+            "# cheirank_residual=6.29709895338948e-11\n"
+            "# cheirank_converged=1\n"
+            "# columns: node_id P K Pstar Kstar\n"
+            "1 0.19533678756790754 2 0.24605884487655147 2\n"
+            "2 0.17772020724741375 3 0.15590265165514702 3\n"
+            "3 0.626943005184679 1 0.5980385034683019 1\n"
+        ),
+    }),
+    "flow-weighted-per-link": (
+        ["flow", "{weighted}", "{wranks}", "--weighted", "--drop-self-loops", "--per-link",
+         "--cells", "2"], {
+            "flow.tsv": (
+                "# scale=log\n"
+                "# cells=2\n"
+                "# columns: i istar n dx dy amplitude empty\n"
+                "0\t0\t0\t0.0\t0.0\t0.0\t1\n"
+                "0\t1\t1\t1.0\t-1.0\t1.4142135623730951\t0\n"
+                "1\t0\t1\t-0.5\t1.0\t1.118033988749895\t0\n"
+                "1\t1\t1\t-1.0\t0.0\t1.0\t0\n"
+            ),
+        }),
     "density": (["density", "{ranks}", "--cells", "2"], {
         "density.csv": (
             "# scale=log\n"
@@ -189,7 +244,13 @@ def paths(tmp_path):
     subset.write_text("3\n1\n")
     ranks = tmp_path / "r"
     assert main(["rank", str(edges), "--out", str(ranks)]) == 0
-    return {"edges": str(edges), "ranks": str(ranks / "ranks.tsv"), "subset": str(subset)}
+    weighted = tmp_path / "weighted.txt"
+    weighted.write_text(WEIGHTED_GRAPH)
+    wranks = tmp_path / "rw"
+    assert main(["rank", str(weighted), "--weighted", "--drop-self-loops",
+                 "--out", str(wranks)]) == 0
+    return {"edges": str(edges), "ranks": str(ranks / "ranks.tsv"), "subset": str(subset),
+            "weighted": str(weighted), "wranks": str(wranks / "ranks.tsv")}
 
 
 def _data_files(out):

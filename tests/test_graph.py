@@ -214,8 +214,9 @@ def _outcome(parse, text, **kwargs):
 
 
 def _bulk_and_loop(text, **kwargs):
-    """parse_edge_list's outcome as is, whether numpy's parse accepted the
-    body, and the outcome with the bulk path declining every input."""
+    """parse_edge_list's outcome as is, whether numpy's two-id row parse
+    accepted the body, and the outcome with the bulk path declining every
+    input."""
     accepted = []
 
     def spy(*args):
@@ -227,7 +228,7 @@ def _bulk_and_loop(text, **kwargs):
         bulk = _outcome(parse_edge_list, text, **kwargs)
     with mock.patch.object(graph_module, "load_rows", lambda *args: None):
         loop = _outcome(parse_edge_list, text, **kwargs)
-    return bulk, accepted == [True], loop
+    return bulk, accepted[0], loop
 
 
 def _assert_same(bulk, loop):
@@ -246,6 +247,15 @@ def test_bulk_parse_matches_line_loop(lines, header, weighted, drop_self_loops):
     )
     _assert_same(bulk, loop)
     assert accepted == bool(lines)
+
+
+@given(link_lines(), st.lists(st.floats(1e-300, 1e300), min_size=40, max_size=40),
+       st.sampled_from(["{!r}", "{:.3e}", "{:g}", "{:.0f}."]), st.booleans(), st.booleans())
+def test_bulk_weighted_parse_matches_line_loop(lines, weights, fmt, weighted,
+                                               drop_self_loops):
+    text = "".join(f"{s} {d} {fmt.format(w)}\n" for (s, d), w in zip(lines, weights))
+    bulk, _, loop = _bulk_and_loop(text, weighted=weighted, drop_self_loops=drop_self_loops)
+    _assert_same(bulk, loop)
 
 
 @pytest.mark.parametrize("text, accepted", [
@@ -288,6 +298,21 @@ def test_bulk_parse_matches_line_loop(lines, header, weighted, drop_self_loops):
     ("N 3\n", False),
     ("# only a comment\n", False),
     ("", False),
+    # weighted rows (see test_weighted_rows_in_bulk for which are read in bulk)
+    ("1 2 .5\n", False),
+    ("1 2 5.\n", False),
+    ("1 2 1e-3\n", False),
+    ("N 4\n1 2 1.5\n2 3 2E+2\n3 3 1e-300\n", False),
+    ("1 2 1e400\n", False),
+    ("1 2 1e-400\n", False),
+    ("1 2 -1\n", False),
+    ("1 2 inf\n", False),
+    ("1 2 1e\n", False),
+    ("+5 2 1.0\n", False),
+    ("1e3 2 1.0\n", False),
+    ("1.0 2 1.0\n", False),
+    ("1 2 1.0\n2 3\n", False),
+    ("1 2\n2 3 1.0\n", False),
 ])
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("drop_self_loops", [False, True])
@@ -297,6 +322,28 @@ def test_bulk_parse_corpus_matches_line_loop(text, accepted, weighted, drop_self
     )
     _assert_same(bulk, loop)
     assert bulk_accepted == accepted
+
+
+@pytest.mark.parametrize("body, in_bulk", [
+    ("1 2 .5\n", True),
+    ("1 2 5.\n", True),
+    ("1 2 1e-3\n2 1 2E+2\n", True),
+    ("1 2 3\n2 3 4\n", True),
+    ("+5 2 1.0\n", True),
+    ("1 2 0.5\n1 2 2.0\n", True),
+    # numpy reads these, but a weight that is not finite and positive, or an
+    # id below 1, is left to the line loop and its line-numbered message
+    ("1 2 1e400\n", False),
+    ("1 2 1e-400\n", False),
+    ("1 2 0\n", False),
+    ("1 2 -1\n", False),
+    ("0 2 1.5\n", False),
+    # numpy declines these
+    ("1e3 2 1.0\n", False),
+    ("1 2 1.0\n2 3\n", False),
+])
+def test_weighted_rows_in_bulk(body, in_bulk):
+    assert (graph_module._load_links(body) is not None) == in_bulk
 
 
 def test_read_edge_list_translates_crlf(tmp_path):

@@ -4,8 +4,10 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from chei2d import (
+    DirectedGraph,
     RankVector,
     StochasticOperator,
+    TwoDRanking,
     cheirank,
     dense_google_matrix,
     dense_solve_oracle,
@@ -81,14 +83,56 @@ def test_cheirank_three_cycle_uniform(three_cycle):
     assert cheirank(three_cycle).probabilities == pytest.approx([1 / 3] * 3, abs=1e-12)
 
 
+def _assert_cheirank_is_pagerank_of_reverse(g):
+    a = cheirank(g)
+    b = pagerank(g.reverse())
+    assert np.array_equal(a.probabilities, b.probabilities)
+    assert np.array_equal(a.index, b.index)
+    assert a.iterations_used == b.iterations_used
+    swapped = StochasticOperator(g, reverse=True)
+    reversed_graph = StochasticOperator(g.reverse())
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(swapped.matrix, name),
+                              getattr(reversed_graph.matrix, name))
+    assert np.array_equal(swapped.dangling, reversed_graph.dangling)
+
+
 def test_cheirank_is_pagerank_of_reverse():
-    for seed in range(5):
-        g = bernoulli_graph(seed)
-        a = cheirank(g)
-        b = pagerank(g.reverse())
-        assert np.array_equal(a.probabilities, b.probabilities)
-        assert np.array_equal(a.index, b.index)
-        assert a.iterations_used == b.iterations_used
+    # uncollapsed parallel links of different weights; nodes 9 and 10 dangle
+    rng = np.random.default_rng(4)
+    parallel = DirectedGraph.from_links(
+        10, rng.integers(1, 9, 120), rng.integers(1, 9, 120),
+        rng.choice([0.25, 1.0, 3.5, 7.0], 120), weighted=True, collapse=False,
+    )
+    for g in [bernoulli_graph(seed) for seed in range(5)] + [parallel]:
+        _assert_cheirank_is_pagerank_of_reverse(g)
+
+
+@given(graphs(weighted=True))
+def test_cheirank_is_pagerank_of_reverse_weighted(g):
+    _assert_cheirank_is_pagerank_of_reverse(g)
+
+
+def test_solvers_never_build_a_reversed_graph(monkeypatch):
+    g = bernoulli_graph(1)
+    expected = pagerank(g.reverse())
+
+    def refuse(self):
+        raise AssertionError("the solver built a reversed graph")
+
+    monkeypatch.setattr(DirectedGraph, "reverse", refuse)
+    assert np.array_equal(cheirank(g).probabilities, expected.probabilities)
+    assert np.array_equal(TwoDRanking.compute(g).cheirank.probabilities,
+                          expected.probabilities)
+
+
+def test_unweighted_graph_rejects_non_unit_weights():
+    with pytest.raises(ValueError, match="weight 1"):
+        DirectedGraph(3, [1, 1, 2], [2, 3, 3], [2.0, 1.0, 1.0])
+    # from_links drops the weights of an unweighted graph instead
+    g = DirectedGraph.from_links(3, [1, 1, 2], [2, 3, 3], [2.0, 1.0, 1.0], collapse=False)
+    assert list(g.weight) == [1.0, 1.0, 1.0]
+    assert pagerank(g).probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pagerank_validates_parameters(three_cycle):

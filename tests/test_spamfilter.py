@@ -94,7 +94,7 @@ def test_fraction_monotone_in_eta():
 
 def test_measure_curve_rejects_unsorted(three_cycle):
     with pytest.raises(ValueError):
-        measure_fraction_curve(three_cycle, [1.0, 0.5])
+        measure_fraction_curve(three_cycle, [1.0, 0.5], ranking=pagerank(three_cycle))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), -1.0])
