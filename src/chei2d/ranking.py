@@ -167,24 +167,56 @@ def normalized_links(node_count: int, tail, weight, alpha: float):
     return alpha * weight / strength[tail - 1], np.flatnonzero(strength == 0.0)
 
 
+def _oriented_links(graph: DirectedGraph, reverse: bool | np.ndarray):
+    """``graph``'s links as (tail, head, weight), each link's tail and head
+    swapped where ``reverse`` holds.
+
+    The order keeps the operator equal bit for bit to that of the graph
+    the swapped links form, whose links are sorted by (tail, head,
+    weight).  A scalar ``reverse`` returns the graph's own arrays: within
+    every column they list the terms of the strength and duplicate sums
+    in that sorted order already.  Under a per-link mask an unweighted
+    graph keeps its own order too, as its strengths are exact integer
+    sums and its duplicates are equal; a weighted graph is sorted."""
+    if np.ndim(reverse) == 0:
+        if reverse:
+            return graph.dst, graph.src, graph.weight
+        return graph.src, graph.dst, graph.weight
+    swap = np.asarray(reverse)
+    if swap.dtype != bool or swap.shape != (graph.link_count,):
+        raise ValueError("reverse must be a bool or one bool per link")
+    tail = np.where(swap, graph.dst, graph.src)
+    head = np.where(swap, graph.src, graph.dst)
+    if not graph.weighted:
+        return tail, head, graph.weight
+    order = np.lexsort((graph.weight, head, tail))
+    return tail[order], head[order], graph.weight[order]
+
+
 class StochasticOperator:
     """Sparse action of the damped operator alpha*S + (1-alpha)/N.
 
     Columns of real links are normalized by :func:`normalized_links`;
     dangling columns stay implicit and contribute their probability mass
     uniformly at application time, keeping memory at O(links + N).
-    ``reverse=True`` is exactly the operator of ``graph.reverse()``.
+
+    ``reverse`` swaps links' tail and head: a bool applies to every link,
+    so ``reverse=True`` is exactly the operator of ``graph.reverse()``,
+    and a boolean array with one entry per link (in ``graph``'s link
+    order) swaps the links where it is True.  The result is exactly the
+    operator of the graph with those links inverted, built from
+    ``graph``'s own arrays.
     """
 
     def __init__(self, graph: DirectedGraph, alpha: float = DEFAULT_ALPHA, *,
-                 reverse: bool = False):
+                 reverse: bool | np.ndarray = False):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         self.graph = graph
         self.alpha = float(alpha)
         n = graph.node_count
-        tail, head = (graph.dst, graph.src) if reverse else (graph.src, graph.dst)
-        data, self.dangling = normalized_links(n, tail, graph.weight, self.alpha)
+        tail, head, weight = _oriented_links(graph, reverse)
+        data, self.dangling = normalized_links(n, tail, weight, self.alpha)
         self.matrix = sp.csr_matrix((data, (head - 1, tail - 1)), shape=(n, n))
 
     @property
@@ -232,7 +264,9 @@ def cheirank(
     return _power_iteration(g, alpha, tol, max_iter, reverse=True)
 
 
-def _power_iteration(g: DirectedGraph, alpha, tol, max_iter, reverse: bool) -> RankVector:
+def _power_iteration(g: DirectedGraph, alpha, tol, max_iter,
+                     reverse: bool | np.ndarray) -> RankVector:
+    """The stationary vector of ``StochasticOperator(g, alpha, reverse=reverse)``."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if tol <= 0.0:

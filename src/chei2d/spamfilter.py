@@ -13,7 +13,8 @@ included, together with a matching synthetic link ensemble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .ranking import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     RankVector,
+    _power_iteration,
     pagerank,
 )
 
@@ -73,47 +75,60 @@ class FilterConfig:
 
 @dataclass(frozen=True, eq=False)
 class FilterResult:
-    """Outcome of one filtering pass.
+    """Outcome of one filtering pass: the source graph and a read-only
+    boolean ``mask``, one entry per link of ``source`` in its link order,
+    True where the link is inverted.
 
-    The filtered graph has the same node count and exactly the same link
-    count as the input: every link is either kept or reversed, never
-    dropped or duplicated.  ``fraction`` is inverted_count / link_count
-    (0 for an empty graph).  ``cheirank`` and ``pagerank`` (the PageRank
-    of the unfiltered graph that chose the inversions) are populated only
-    by :func:`filtered_cheirank`.
+    ``graph``, the filtered graph, is built from them on first access.
+    It has the same node count and exactly the same link count as the
+    source: every link is either kept or reversed, never dropped or
+    duplicated.  ``fraction`` is inverted_count / link_count (0 for an
+    empty graph).  ``cheirank`` and ``pagerank`` (the PageRank of the
+    unfiltered graph that chose the inversions) are populated only by
+    :func:`filtered_cheirank`.
     """
 
-    graph: DirectedGraph
-    inverted_count: int
-    fraction: float
+    source: DirectedGraph
+    mask: np.ndarray
     cheirank: RankVector | None = None
     pagerank: RankVector | None = None
 
+    @property
+    def inverted_count(self) -> int:
+        return int(np.count_nonzero(self.mask))
 
-def _inversion_mask(
-    g: DirectedGraph, values: np.ndarray, eta: float, mode: str
-) -> np.ndarray:
-    """Boolean per-link mask of inversions.  Strict inequalities: ties
-    keep the original direction, so eta=0 inverts nothing.  eta=inf takes
-    the limit directly, so inf*0 is never evaluated."""
+    @property
+    def fraction(self) -> float:
+        links = self.source.link_count
+        return self.inverted_count / links if links else 0.0
+
+    @cached_property
+    def graph(self) -> DirectedGraph:
+        g, mask = self.source, self.mask
+        return DirectedGraph.from_links(
+            g.node_count, np.where(mask, g.dst, g.src), np.where(mask, g.src, g.dst),
+            g.weight, weighted=g.weighted, collapse=False,
+        )
+
+
+def _inversion_mask(at_src: np.ndarray, at_dst: np.ndarray, eta: float, mode: str) -> np.ndarray:
+    """Boolean per-link mask of inversions from the links' endpoint values.
+    Strict inequalities: ties keep the original direction, so eta=0
+    inverts nothing.  eta=inf takes the limit directly, so inf*0 is never
+    evaluated."""
     if mode == "probability":
         if math.isinf(eta):
-            return values[g.src - 1] > 0.0
-        return eta * values[g.src - 1] > values[g.dst - 1]
+            return at_src > 0.0
+        return eta * at_src > at_dst
     if math.isinf(eta):
-        return np.ones(g.link_count, dtype=bool)
-    return values[g.src - 1] < eta * values[g.dst - 1]
+        return np.ones(at_src.size, dtype=bool)
+    return at_src < eta * at_dst
 
 
-def _apply_mask(g: DirectedGraph, mask: np.ndarray) -> FilterResult:
-    inverted = int(np.count_nonzero(mask))
-    src = np.where(mask, g.dst, g.src)
-    dst = np.where(mask, g.src, g.dst)
-    filtered = DirectedGraph.from_links(
-        g.node_count, src, dst, g.weight, weighted=g.weighted, collapse=False
-    )
-    fraction = inverted / g.link_count if g.link_count else 0.0
-    return FilterResult(filtered, inverted, fraction)
+def _filter(g: DirectedGraph, values: np.ndarray, eta: float, mode: str) -> FilterResult:
+    mask = _inversion_mask(values[g.src - 1], values[g.dst - 1], eta, mode)
+    mask.setflags(write=False)
+    return FilterResult(g, mask)
 
 
 def filter_links_by_prob(g: DirectedGraph, p: RankVector, eta: float) -> FilterResult:
@@ -126,7 +141,7 @@ def filter_links_by_prob(g: DirectedGraph, p: RankVector, eta: float) -> FilterR
     if p.node_count != g.node_count:
         raise ValueError("rank vector does not match the graph")
     check_eta(eta)
-    return _apply_mask(g, _inversion_mask(g, p.probabilities, eta, "probability"))
+    return _filter(g, p.probabilities, eta, "probability")
 
 
 def filter_links_by_rank(g: DirectedGraph, k_index, eta_k: float) -> FilterResult:
@@ -140,29 +155,26 @@ def filter_links_by_rank(g: DirectedGraph, k_index, eta_k: float) -> FilterResul
     if k.shape != (g.node_count,):
         raise ValueError("rank index does not match the graph")
     check_eta(eta_k, "eta_k")
-    return _apply_mask(g, _inversion_mask(g, k, eta_k, "rank"))
+    return _filter(g, k, eta_k, "rank")
 
 
 def filtered_cheirank(g: DirectedGraph, config: FilterConfig) -> FilterResult:
     """Filtered CheiRank of ``g``: rank, invert selectively, rank again.
 
     Computes the PageRank of the unfiltered graph, applies the configured
-    filter to it once, then computes the PageRank of the filtered graph.
-    The filter already performed the reversal of the selected links, so
-    no further global reversal happens: at eta=0 the result is the plain
-    PageRank and at eta=inf the ordinary CheiRank.
+    filter to it once, then computes the PageRank of the filtered graph
+    from ``g``'s own links with the selected ones swapped; no filtered
+    graph is built.  The selected links are the only ones reversed: at
+    eta=0 the result is the plain PageRank and at eta=inf the ordinary
+    CheiRank, both bit for bit.
     """
     p = pagerank(g, alpha=config.alpha, tol=config.tol, max_iter=config.max_iter)
     if config.mode == "probability":
         result = filter_links_by_prob(g, p, config.eta)
     else:
         result = filter_links_by_rank(g, p.index, config.eta)
-    chei = pagerank(
-        result.graph, alpha=config.alpha, tol=config.tol, max_iter=config.max_iter
-    )
-    return FilterResult(
-        result.graph, result.inverted_count, result.fraction, cheirank=chei, pagerank=p
-    )
+    chei = _power_iteration(g, config.alpha, config.tol, config.max_iter, reverse=result.mask)
+    return replace(result, cheirank=chei, pagerank=p)
 
 
 def analytic_fraction(eta_k: float, a: float, nu: float) -> float:
@@ -213,11 +225,13 @@ def measure_fraction_curve(
     check_eta(etas, "etas")
     if np.any(np.diff(etas) < 0):
         raise ValueError("etas must be sorted ascending")
+    if ranking.node_count != g.node_count:
+        raise ValueError("rank vector does not match the graph")
     values = ranking.probabilities if mode == "probability" else ranking.index.astype(np.float64)
+    at_src, at_dst = values[g.src - 1], values[g.dst - 1]
     out = np.empty(etas.size)
     for i, eta in enumerate(etas):
-        mask = _inversion_mask(g, values, float(eta), mode)
-        out[i] = mask.mean() if g.link_count else 0.0
+        out[i] = _inversion_mask(at_src, at_dst, float(eta), mode).mean() if g.link_count else 0.0
     return out
 
 

@@ -7,7 +7,9 @@ from chei2d import DirectedGraph, TwoDRanking
 
 
 @st.composite
-def graphs(draw, min_nodes=1, max_nodes=12, max_links=40, weighted=False):
+def graphs(draw, min_nodes=1, max_nodes=12, max_links=40, weighted=False, collapse=True):
+    """Random graphs; ``collapse=False`` keeps parallel links, each with its
+    own weight when ``weighted``."""
     n = draw(st.integers(min_nodes, max_nodes))
     pairs = draw(
         st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=max_links)
@@ -21,7 +23,7 @@ def graphs(draw, min_nodes=1, max_nodes=12, max_links=40, weighted=False):
                 st.floats(0.125, 8.0), min_size=len(pairs), max_size=len(pairs)
             )
         )
-    return DirectedGraph.from_links(n, src, dst, weights, weighted=weighted)
+    return DirectedGraph.from_links(n, src, dst, weights, weighted=weighted, collapse=collapse)
 
 
 @st.composite

@@ -106,6 +106,17 @@ def test_filter_rejects_nan_and_negative_infinity(cycle_file, tmp_path, capsys, 
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv", [[], ["--eta", "2"], ["--eta-k", "2"]])
+def test_filter_bad_edge_list_is_line_numbered_error(tmp_path, capsys, argv):
+    edges = tmp_path / "bad.txt"
+    edges.write_text("1 2\n2 x\n")
+    out = tmp_path / "o"
+    assert run("filter", edges, *argv, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "error: line 2: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_filter_eta_inf_inverts_every_link(cycle_file, tmp_path):
     for flag in ("--eta", "--eta-k"):
         out = tmp_path / flag

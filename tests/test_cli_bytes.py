@@ -223,6 +223,76 @@ CASES = {
             "3 0.5208693504502232 1 0.5208693504502232 1\n"
         ),
     }),
+    "filter-weighted-eta": (["filter", "{weighted}", "--weighted", "--eta", "2"], {
+        "filtered_ranks.tsv": (
+            "# chei2d-rank-table\n"
+            "# N=3\n"
+            "# alpha=0.85\n"
+            "# filter_eta=2.0\n"
+            "# filter_mode=probability\n"
+            "# inverted_fraction=0.6\n"
+            "# inverted_links=3\n"
+            "# max_iter=1000\n"
+            "# tol=1e-10\n"
+            "# pagerank_iterations=26\n"
+            "# pagerank_residual=2.6078972314991233e-11\n"
+            "# pagerank_converged=1\n"
+            "# cheirank_iterations=3\n"
+            "# cheirank_residual=0.0\n"
+            "# cheirank_converged=1\n"
+            "# columns: node_id P K Pstar Kstar\n"
+            "1 0.19533678756790754 2 0.07833333333333335 2\n"
+            "2 0.17772020724741375 3 0.05000000000000001 3\n"
+            "3 0.626943005184679 1 0.8716666666666667 1\n"
+        ),
+    }),
+    "filter-weighted-eta-k": (["filter", "{weighted}", "--weighted", "--eta-k", "2"], {
+        "filtered_ranks.tsv": (
+            "# chei2d-rank-table\n"
+            "# N=3\n"
+            "# alpha=0.85\n"
+            "# filter_eta=2.0\n"
+            "# filter_mode=rank\n"
+            "# inverted_fraction=0.6\n"
+            "# inverted_links=3\n"
+            "# max_iter=1000\n"
+            "# tol=1e-10\n"
+            "# pagerank_iterations=26\n"
+            "# pagerank_residual=2.6078972314991233e-11\n"
+            "# pagerank_converged=1\n"
+            "# cheirank_iterations=3\n"
+            "# cheirank_residual=0.0\n"
+            "# cheirank_converged=1\n"
+            "# columns: node_id P K Pstar Kstar\n"
+            "1 0.19533678756790754 2 0.07833333333333335 2\n"
+            "2 0.17772020724741375 3 0.05000000000000001 3\n"
+            "3 0.626943005184679 1 0.8716666666666667 1\n"
+        ),
+    }),
+    # Inverting 3 -> 1 lands on the existing 1 -> 3 link with another weight.
+    "filter-weighted-parallel": (["filter", "{weighted}", "--weighted", "--eta", "0.5"], {
+        "filtered_ranks.tsv": (
+            "# chei2d-rank-table\n"
+            "# N=3\n"
+            "# alpha=0.85\n"
+            "# filter_eta=0.5\n"
+            "# filter_mode=probability\n"
+            "# inverted_fraction=0.2\n"
+            "# inverted_links=1\n"
+            "# max_iter=1000\n"
+            "# tol=1e-10\n"
+            "# pagerank_iterations=26\n"
+            "# pagerank_residual=2.6078972314991233e-11\n"
+            "# pagerank_converged=1\n"
+            "# cheirank_iterations=3\n"
+            "# cheirank_residual=0.0\n"
+            "# cheirank_converged=1\n"
+            "# columns: node_id P K Pstar Kstar\n"
+            "1 0.19533678756790754 2 0.05000000000000001 3\n"
+            "2 0.17772020724741375 3 0.0723684210526316 2\n"
+            "3 0.626943005184679 1 0.8776315789473685 1\n"
+        ),
+    }),
     "synth": (["synth", "--nodes", "10", "--links", "6", "--seed", "1"], {
         "edges.txt": (
             "N 10\n"

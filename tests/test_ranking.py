@@ -83,34 +83,71 @@ def test_cheirank_three_cycle_uniform(three_cycle):
     assert cheirank(three_cycle).probabilities == pytest.approx([1 / 3] * 3, abs=1e-12)
 
 
+def _assert_same_operator(a, b):
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a.matrix, name), getattr(b.matrix, name))
+    assert np.array_equal(a.dangling, b.dangling)
+
+
 def _assert_cheirank_is_pagerank_of_reverse(g):
     a = cheirank(g)
     b = pagerank(g.reverse())
     assert np.array_equal(a.probabilities, b.probabilities)
     assert np.array_equal(a.index, b.index)
     assert a.iterations_used == b.iterations_used
-    swapped = StochasticOperator(g, reverse=True)
-    reversed_graph = StochasticOperator(g.reverse())
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(swapped.matrix, name),
-                              getattr(reversed_graph.matrix, name))
-    assert np.array_equal(swapped.dangling, reversed_graph.dangling)
+    _assert_same_operator(StochasticOperator(g, reverse=True), StochasticOperator(g.reverse()))
 
 
-def test_cheirank_is_pagerank_of_reverse():
-    # uncollapsed parallel links of different weights; nodes 9 and 10 dangle
-    rng = np.random.default_rng(4)
-    parallel = DirectedGraph.from_links(
+def _parallel_graph(seed):
+    """Uncollapsed parallel links of different weights; nodes 9 and 10 dangle."""
+    rng = np.random.default_rng(seed)
+    return DirectedGraph.from_links(
         10, rng.integers(1, 9, 120), rng.integers(1, 9, 120),
         rng.choice([0.25, 1.0, 3.5, 7.0], 120), weighted=True, collapse=False,
     )
-    for g in [bernoulli_graph(seed) for seed in range(5)] + [parallel]:
+
+
+def test_cheirank_is_pagerank_of_reverse():
+    for g in [bernoulli_graph(seed) for seed in range(5)] + [_parallel_graph(4)]:
         _assert_cheirank_is_pagerank_of_reverse(g)
 
 
 @given(graphs(weighted=True))
 def test_cheirank_is_pagerank_of_reverse_weighted(g):
     _assert_cheirank_is_pagerank_of_reverse(g)
+
+
+def _assert_swap_mask_is_filtered_graph(g, mask):
+    filtered = DirectedGraph.from_links(
+        g.node_count, np.where(mask, g.dst, g.src), np.where(mask, g.src, g.dst),
+        g.weight, weighted=g.weighted, collapse=False,
+    )
+    _assert_same_operator(StochasticOperator(g, reverse=mask), StochasticOperator(filtered))
+
+
+@given(st.data(), st.booleans(), st.booleans())
+def test_swap_mask_operator_is_filtered_graph_operator(data, weighted, collapse):
+    g = data.draw(graphs(weighted=weighted, collapse=collapse))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=g.link_count,
+                                       max_size=g.link_count)), dtype=bool)
+    _assert_swap_mask_is_filtered_graph(g, mask)
+
+
+def test_swap_mask_operator_on_many_parallel_links():
+    for seed in range(20):
+        g = _parallel_graph(seed)
+        mask = np.random.default_rng(seed).random(g.link_count) < 0.5
+        _assert_swap_mask_is_filtered_graph(g, mask)
+        for uniform in (False, True):
+            full = np.full(g.link_count, uniform)
+            _assert_same_operator(StochasticOperator(g, reverse=full),
+                                  StochasticOperator(g, reverse=uniform))
+
+
+def test_swap_mask_must_be_one_bool_per_link(three_cycle):
+    for bad in (np.ones(2, dtype=bool), np.ones((3, 1), dtype=bool), [1, 0, 1]):
+        with pytest.raises(ValueError, match="one bool per link"):
+            StochasticOperator(three_cycle, reverse=bad)
 
 
 def test_solvers_never_build_a_reversed_graph(monkeypatch):

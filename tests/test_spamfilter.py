@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from chei2d import (
+    DirectedGraph,
     FilterConfig,
     RankVector,
     TwoDRanking,
@@ -19,6 +22,7 @@ from chei2d import (
     synth_rank_ensemble,
     synth_scale_free,
 )
+from chei2d.spamfilter import MODES
 from conftest import bernoulli_graph, fixture_graphs
 from strategies import graphs
 
@@ -97,6 +101,16 @@ def test_measure_curve_rejects_unsorted(three_cycle):
         measure_fraction_curve(three_cycle, [1.0, 0.5], ranking=pagerank(three_cycle))
 
 
+@pytest.mark.parametrize("nodes", [2, 4])
+def test_measure_curve_rejects_ranking_of_another_graph(three_cycle, nodes):
+    other = pagerank(parse_edge_list(f"N {nodes}\n1 2\n"))
+    for mode in MODES:
+        with pytest.raises(ValueError, match="rank vector does not match the graph"):
+            measure_fraction_curve(three_cycle, [0.0, 1.0], mode, ranking=other)
+    with pytest.raises(ValueError, match="rank vector does not match the graph"):
+        filter_links_by_prob(three_cycle, other, 1.0)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), -1.0])
 def test_filter_values_reject_nan_and_negatives(three_cycle, bad):
     p = pagerank(three_cycle)
@@ -113,18 +127,50 @@ def test_filter_values_reject_nan_and_negatives(three_cycle, bad):
 # -- filtered cheirank -----------------------------------------------------
 
 
+def _same_vector(a, b):
+    return np.array_equal(a.probabilities, b.probabilities) and np.array_equal(a.index, b.index)
+
+
+def _weighted_graphs():
+    rng = np.random.default_rng(3)
+    src, dst = rng.integers(1, 9, 120), rng.integers(1, 9, 120)
+    w = rng.choice([0.25, 1.0, 3.5, 7.0], 120)
+    return [(f"weighted_collapse={collapse}",
+             DirectedGraph.from_links(10, src, dst, w, weighted=True, collapse=collapse))
+            for collapse in (True, False)]
+
+
 def test_filtered_cheirank_endpoints():
-    tol = 1e-10
-    for name, g in fixture_graphs():
-        base = pagerank(g, tol=tol)
-        chei = cheirank(g, tol=tol)
-        at_zero = filtered_cheirank(g, FilterConfig(mode="probability", eta=0.0, tol=tol))
-        assert np.array_equal(at_zero.pagerank.probabilities, base.probabilities), name
-        assert np.max(np.abs(at_zero.cheirank.probabilities - base.probabilities)) <= 10 * tol, name
-        at_inf = filtered_cheirank(
-            g, FilterConfig(mode="probability", eta=float("inf"), tol=tol)
-        )
-        assert np.max(np.abs(at_inf.cheirank.probabilities - chei.probabilities)) <= 10 * tol, name
+    for (name, g), mode in itertools.product(fixture_graphs() + _weighted_graphs(), MODES):
+        base = pagerank(g)
+        at_zero = filtered_cheirank(g, FilterConfig(mode=mode, eta=0.0))
+        assert _same_vector(at_zero.pagerank, base), (name, mode)
+        assert _same_vector(at_zero.cheirank, base), (name, mode)
+        at_inf = filtered_cheirank(g, FilterConfig(mode=mode, eta=float("inf")))
+        assert _same_vector(at_inf.cheirank, cheirank(g)), (name, mode)
+
+
+def test_filtered_cheirank_builds_no_graph(monkeypatch):
+    g = _weighted_graphs()[1][1]
+    constructions = []
+    post_init = DirectedGraph.__post_init__
+
+    def counting(self):
+        constructions.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DirectedGraph, "__post_init__", counting)
+    res = filtered_cheirank(g, FilterConfig(eta=1.0))
+    assert constructions == []
+    assert 0 < res.inverted_count < g.link_count
+    filtered = res.graph
+    assert len(constructions) == 1 and res.graph is filtered
+    mask = res.mask
+    assert filtered == DirectedGraph.from_links(
+        g.node_count, np.where(mask, g.dst, g.src), np.where(mask, g.src, g.dst), g.weight,
+        weighted=True, collapse=False,
+    )
+    assert _same_vector(res.cheirank, pagerank(filtered))
 
 
 def test_filtered_cheirank_rank_mode_runs(three_cycle):
