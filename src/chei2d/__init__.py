@@ -26,8 +26,6 @@ from .ranking import (
     StochasticOperator,
     TwoDRanking,
     cheirank,
-    dense_google_matrix,
-    dense_solve_oracle,
     pagerank,
     rank_order,
 )
@@ -60,6 +58,6 @@ from .spamfilter import (
     synth_rank_ensemble,
 )
 from .twodrank import LocalRanks, TwoDRankOrder, local_rank, two_d_rank
-from .tableio import read_rank_table, serialize_rank_table, write_rank_table
+from .tableio import read_rank_table, write_rank_table
 
 __version__ = "0.1.0"

@@ -445,7 +445,7 @@ def main(argv=None) -> int:
             print(f"wrote {out / name}")
         _write_manifest(out, args, argv, files, extra, vectors, started)
         return _convergence_exit(vectors)
-    except (UsageError, OSError, ValueError) as exc:
+    except (UsageError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

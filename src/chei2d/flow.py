@@ -83,13 +83,12 @@ def compute_flow(
     counts = np.bincount(cx * cells + cy, minlength=size).reshape(shape)
 
     if g.link_count:
-        s0 = g.src - 1
         d0 = g.dst - 1
-        vx = (cx[d0] - cx[s0]).astype(np.float64)
-        vy = (cy[d0] - cy[s0]).astype(np.float64)
-        source_cell = cx[s0] * cells + cy[s0]
-        sum_x = np.bincount(source_cell, weights=vx, minlength=size).reshape(shape)
-        sum_y = np.bincount(source_cell, weights=vy, minlength=size).reshape(shape)
+        source_cell = g.at_source(cx * cells + cy)
+        sum_x, sum_y = (
+            np.bincount(source_cell, weights=c[d0] - g.at_source(c), minlength=size).reshape(shape)
+            for c in (cx, cy)
+        )
         link_counts = np.bincount(source_cell, minlength=size).reshape(shape)
     else:
         sum_x = np.zeros(shape)

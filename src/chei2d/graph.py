@@ -1,8 +1,11 @@
 """Directed graphs over 1-based node ids.
 
-Edge-list ingestion with duplicate collapsing, degree caches, link
-reversal, byte-stable serialization and a seeded scale-free generator.
-Graphs are immutable after construction and safe to share across threads.
+A graph is one CSR layout by source: ``indptr`` (N + 1 offsets), ``dst``
+and ``weight`` per link.  Link sources are derived from ``indptr`` when
+read and never stored, and an unweighted graph's unit weights are
+implicit.  Also here: edge-list ingestion with duplicate collapsing,
+byte-stable serialization and a seeded scale-free generator.  Graphs are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ def _in_order(*keys: np.ndarray) -> bool:
     most significant.  An O(n) check that lets already-sorted links (an
     edge list written by :func:`serialize_edge_list`, for one) skip a
     stable sort, which would leave them unchanged."""
-    tied = np.ones(keys[0].size - 1, dtype=bool)
+    tied = np.ones(max(keys[0].size - 1, 0), dtype=bool)
     for key in keys:
         prev, cur = key[:-1], key[1:]
         if np.any(tied & (cur < prev)):
@@ -62,70 +65,115 @@ def _in_order(*keys: np.ndarray) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
-class DirectedGraph:
-    """A directed graph with nodes ``1 .. node_count``.
+def _link_arrays(src, dst, weight):
+    """(src, dst, weight) as one-dimensional int64, int64 and float64
+    arrays of one length."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    weight = np.asarray(weight, dtype=np.float64)
+    if not (src.ndim == dst.ndim == weight.ndim == 1):
+        raise ValueError("link arrays must be one-dimensional")
+    if not (src.size == dst.size == weight.size):
+        raise ValueError("link arrays must have equal length")
+    return src, dst, weight
 
-    Links are parallel arrays (src, dst, weight) kept sorted by
-    (src, dst, weight); an unweighted graph's weights are all 1.  Graphs
-    built through :func:`parse_edge_list` or :meth:`from_links` have
-    duplicate (src, dst) pairs collapsed (binary adjacency; weights
-    summed in weighted mode).  Graphs assembled
-    directly from arrays, e.g. by the link-inversion filter, may carry
-    parallel links; each one then counts separately toward degrees and
-    column normalization.
+
+@dataclass(frozen=True, eq=False, init=False)
+class DirectedGraph:
+    """A directed graph with nodes ``1 .. node_count``, stored as a CSR
+    layout by source.
+
+    Links are kept sorted by (src, dst, weight).  ``dst`` and ``weight``
+    list them in that order, and node ``i``'s out-links are the slice
+    ``indptr[i - 1]:indptr[i]``.  ``src`` is derived from ``indptr`` on
+    every read and never stored.  An unweighted graph's unit weights are
+    implicit: ``weight`` is a read-only view of a single 1.0.  So a graph
+    holds 8 bytes per link (16 when weighted) plus 8 per node.
+
+    The constructor takes links as (src, dst, weight) arrays in any order.
+    Graphs built through :func:`parse_edge_list` or :meth:`from_links`
+    have duplicate (src, dst) pairs collapsed (binary adjacency; weights
+    summed in weighted mode).  Graphs assembled directly from arrays, e.g.
+    the link-inversion filter's, may carry parallel links; each one then
+    counts separately toward degrees and column normalization.
 
     Self-loops are legal and kept by default.  Node ids never appearing
     in a link are valid dangling nodes.
     """
 
     node_count: int
-    src: np.ndarray
+    indptr: np.ndarray
     dst: np.ndarray
     weight: np.ndarray
     weighted: bool = False
     collapsed_duplicates: int = 0
 
-    def __post_init__(self):
-        if self.node_count < 1:
+    def __init__(self, node_count: int, src, dst, weight, weighted: bool = False,
+                 collapsed_duplicates: int = 0):
+        src, dst, weight = _link_arrays(src, dst, weight)
+        if _in_order(src, dst, weight):
+            # Copy as the sort would have: a graph never shares (and then
+            # freezes) arrays its caller still holds.
+            dst, weight = dst.copy(), weight.copy() if weighted else weight
+        else:
+            order = np.lexsort((weight, dst, src))
+            src, dst = src[order], dst[order]
+            weight = weight[order] if weighted else weight
+        self._store(node_count, src, dst, weight, weighted, collapsed_duplicates)
+
+    def _store(self, node_count, src, dst, weight, weighted, collapsed_duplicates):
+        """Check links sorted by source and keep them as the layout.
+        ``dst`` and a weighted graph's ``weight`` become the graph's own;
+        ``weight`` None stands for unit weights."""
+        if node_count < 1:
             raise ValueError("node_count must be a positive integer")
-        src = np.ascontiguousarray(self.src, dtype=np.int64)
-        dst = np.ascontiguousarray(self.dst, dtype=np.int64)
-        weight = np.ascontiguousarray(self.weight, dtype=np.float64)
-        if not (src.ndim == dst.ndim == weight.ndim == 1):
-            raise ValueError("link arrays must be one-dimensional")
-        if not (src.size == dst.size == weight.size):
-            raise ValueError("link arrays must have equal length")
         if src.size:
-            if min(src.min(), dst.min()) < 1 or max(src.max(), dst.max()) > self.node_count:
+            if min(src[0], dst.min()) < 1 or max(src[-1], dst.max()) > node_count:
                 raise ValueError("link endpoint outside [1, node_count]")
-            if not np.all(np.isfinite(weight)) or np.any(weight <= 0):
-                raise ValueError("link weights must be positive and finite")
-            if not self.weighted and np.any(weight != 1.0):
-                raise ValueError("every link of an unweighted graph must have weight 1")
-            if _in_order(src, dst, weight):
-                # Copy as the sort would have: a graph never shares (and
-                # then freezes) arrays its caller still holds.
-                src, dst, weight = src.copy(), dst.copy(), weight.copy()
-            else:
-                order = np.lexsort((weight, dst, src))
-                src, dst, weight = src[order], dst[order], weight[order]
-        for arr in (src, dst, weight):
+            if weight is not None:
+                if not np.all(np.isfinite(weight)) or np.any(weight <= 0):
+                    raise ValueError("link weights must be positive and finite")
+                if not weighted and np.any(weight != 1.0):
+                    raise ValueError("every link of an unweighted graph must have weight 1")
+        # Allocated before anything else N-long, so that a node count
+        # beyond memory fails here.
+        indptr = np.zeros(node_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=node_count + 1)[1:], out=indptr[1:])
+        if not weighted:
+            weight = np.broadcast_to(1.0, dst.shape)
+        for name, value in (("node_count", node_count), ("indptr", indptr), ("dst", dst),
+                            ("weight", weight), ("weighted", weighted),
+                            ("collapsed_duplicates", collapsed_duplicates)):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Freeze the layout; runs once for every graph built."""
+        for arr in (self.indptr, self.dst, self.weight):
             arr.setflags(write=False)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "weight", weight)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def link_count(self) -> int:
-        return int(self.src.size)
+        return int(self.dst.size)
+
+    @property
+    def src(self) -> np.ndarray:
+        """Each link's source, derived from ``indptr`` on every read."""
+        src = self.at_source(np.arange(1, self.node_count + 1))
+        src.setflags(write=False)
+        return src
+
+    def at_source(self, values) -> np.ndarray:
+        """``values[src - 1]``, one entry per link from ``values`` (one
+        per node) taken at the link's source, without building ``src``."""
+        return np.repeat(values, self.out_degree)
 
     @cached_property
     def out_degree(self) -> np.ndarray:
         """Outgoing link count per node (index 0 holds node 1)."""
-        deg = np.bincount(self.src, minlength=self.node_count + 1)[1:]
+        deg = np.diff(self.indptr)
         deg.setflags(write=False)
         return deg
 
@@ -135,13 +183,6 @@ class DirectedGraph:
         deg = np.bincount(self.dst, minlength=self.node_count + 1)[1:]
         deg.setflags(write=False)
         return deg
-
-    @cached_property
-    def out_strength(self) -> np.ndarray:
-        """Sum of outgoing link weights per node."""
-        s = np.bincount(self.src, weights=self.weight, minlength=self.node_count + 1)[1:]
-        s.setflags(write=False)
-        return s
 
     def reverse(self) -> "DirectedGraph":
         """Graph with every link direction flipped.  An involution that
@@ -156,7 +197,7 @@ class DirectedGraph:
         return (
             self.node_count == other.node_count
             and self.weighted == other.weighted
-            and np.array_equal(self.src, other.src)
+            and np.array_equal(self.indptr, other.indptr)
             and np.array_equal(self.dst, other.dst)
             and np.array_equal(self.weight, other.weight)
         )
@@ -180,29 +221,32 @@ class DirectedGraph:
         ingestion default) duplicate (src, dst) pairs merge into one link,
         weights summed.  ``collapse=False`` keeps the multiset.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
         if weight is None or not weighted:
-            weight = np.ones(src.size, dtype=np.float64)
-        else:
-            weight = np.asarray(weight, dtype=np.float64)
+            weight = np.broadcast_to(1.0, (np.size(src),))
+        src, dst, weight = _link_arrays(src, dst, weight)
         if not collapse or not src.size:
             return cls(node_count, src, dst, weight, weighted=weighted)
-        if _in_order(src, dst):
-            s, d, w = src, dst, weight
-        else:
+        in_order = _in_order(src, dst)
+        if not in_order:
             order = np.lexsort((dst, src))
-            s, d, w = src[order], dst[order], weight[order]
-        starts = np.concatenate(([True], (s[1:] != s[:-1]) | (d[1:] != d[:-1])))
-        first = np.flatnonzero(starts)
-        return cls(
-            node_count,
-            s[first],
-            d[first],
-            np.add.reduceat(w, first) if weighted else w[first],
-            weighted=weighted,
-            collapsed_duplicates=int(s.size - first.size),
-        )
+            src, dst = src[order], dst[order]
+            if weighted:
+                weight = weight[order]
+        starts = np.concatenate(([True], (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])))
+        collapsed = int(src.size - np.count_nonzero(starts))
+        if collapsed:
+            first = np.flatnonzero(starts)
+            src, dst = src[first], dst[first]
+            if weighted:
+                weight = np.add.reduceat(weight, first)
+        elif in_order:
+            # the copies a sort or a merge would have made
+            dst = dst.copy()
+            if weighted:
+                weight = weight.copy()
+        graph = cls.__new__(cls)
+        graph._store(node_count, src, dst, weight if weighted else None, weighted, collapsed)
+        return graph
 
 
 def parse_edge_list(

@@ -4,8 +4,7 @@ The damped transition operator alpha*S + (1-alpha)/N acts without ever
 materializing an N x N matrix: real links live in a sparse matrix and
 dangling columns are folded into a per-application scalar.  CheiRank is,
 by definition, the PageRank of the link-reversed graph, computed from
-the graph's own links with tail and head swapped.  A dense direct solver
-is provided as a test oracle for small instances.
+the graph's own links with tail and head swapped.
 """
 
 from __future__ import annotations
@@ -25,11 +24,10 @@ __all__ = [
     "TwoDRanking",
     "StochasticOperator",
     "normalized_links",
+    "tail_strength",
     "rank_order",
     "pagerank",
     "cheirank",
-    "dense_google_matrix",
-    "dense_solve_oracle",
 ]
 
 DEFAULT_ALPHA = 0.85
@@ -158,35 +156,60 @@ class TwoDRanking:
         return cls(*(RankVector.from_probabilities(v / v.sum()) for v in vectors))
 
 
-def normalized_links(node_count: int, tail, weight, alpha: float):
+def normalized_links(strength, at_tail, weight, alpha: float):
     """The damped operator's one normalization rule: (the value
-    ``alpha * w / strength[tail - 1]`` of each link, the 0-based dangling
-    columns), where a column's strength is the total weight of the links
-    leaving it and a column of zero strength is dangling."""
-    strength = np.bincount(tail, weights=weight, minlength=node_count + 1)[1:]
-    return alpha * weight / strength[tail - 1], np.flatnonzero(strength == 0.0)
+    ``alpha * w / s`` of each link, where ``s`` is the strength of its
+    tail, the 0-based dangling columns).  A column's strength is the total
+    weight of the links leaving it, and a column of zero strength is
+    dangling.  ``at_tail`` holds each link's ``s``."""
+    values = alpha * weight
+    values /= at_tail
+    return values, np.flatnonzero(strength == 0.0)
 
 
-def _oriented_links(graph: DirectedGraph, reverse: bool | np.ndarray):
-    """``graph``'s links as (tail, head, weight), each link's tail and head
-    swapped where ``reverse`` holds.
+def tail_strength(graph: DirectedGraph, reverse: bool = False):
+    """(each column's strength, the strength of each link's tail in
+    ``graph``'s link order) for the operator of ``graph``, or of its
+    reversal with ``reverse``.  Every strength adds its links' weights in
+    link order, as ``np.bincount`` over the tails would."""
+    if not graph.weighted:  # integer sums, exact in any order
+        degree = graph.in_degree if reverse else graph.out_degree
+        strength = degree.astype(np.float64)
+    elif reverse:
+        strength = np.bincount(graph.dst, weights=graph.weight,
+                               minlength=graph.node_count + 1)[1:]
+    else:
+        # a CSR product with ones adds each row's values left to right
+        strength = _layout_matrix(graph, graph.weight) @ np.ones(graph.node_count)
+    if reverse:
+        return strength, strength[graph.dst - 1]
+    return strength, graph.at_source(strength)
+
+
+def _layout_matrix(graph: DirectedGraph, data) -> sp.csr_matrix:
+    """``data``, one value per link, as a CSR matrix on ``graph``'s layout:
+    row ``i - 1`` holds node ``i``'s out-links, in link order."""
+    n = graph.node_count
+    return sp.csr_matrix((data, graph.dst - 1, graph.indptr), shape=(n, n))
+
+
+def _swapped_links(graph: DirectedGraph, swap: np.ndarray):
+    """``graph``'s links as (tail, head, weight), with 0-based tails and
+    heads, each link's tail and head swapped where ``swap`` holds.
 
     The order keeps the operator equal bit for bit to that of the graph
     the swapped links form, whose links are sorted by (tail, head,
-    weight).  A scalar ``reverse`` returns the graph's own arrays: within
-    every column they list the terms of the strength and duplicate sums
-    in that sorted order already.  Under a per-link mask an unweighted
-    graph keeps its own order too, as its strengths are exact integer
-    sums and its duplicates are equal; a weighted graph is sorted."""
-    if np.ndim(reverse) == 0:
-        if reverse:
-            return graph.dst, graph.src, graph.weight
-        return graph.src, graph.dst, graph.weight
-    swap = np.asarray(reverse)
+    weight).  An unweighted graph keeps its own link order, as its
+    strengths are exact integer sums and its duplicates are equal; a
+    weighted graph is sorted."""
+    swap = np.asarray(swap)
     if swap.dtype != bool or swap.shape != (graph.link_count,):
         raise ValueError("reverse must be a bool or one bool per link")
-    tail = np.where(swap, graph.dst, graph.src)
-    head = np.where(swap, graph.src, graph.dst)
+    src = graph.src
+    tail = np.where(swap, graph.dst, src)
+    head = np.where(swap, src, graph.dst)
+    tail -= 1
+    head -= 1
     if not graph.weighted:
         return tail, head, graph.weight
     order = np.lexsort((graph.weight, head, tail))
@@ -200,12 +223,23 @@ class StochasticOperator:
     dangling columns stay implicit and contribute their probability mass
     uniformly at application time, keeping memory at O(links + N).
 
-    ``reverse`` swaps links' tail and head: a bool applies to every link,
-    so ``reverse=True`` is exactly the operator of ``graph.reverse()``,
-    and a boolean array with one entry per link (in ``graph``'s link
-    order) swaps the links where it is True.  The result is exactly the
-    operator of the graph with those links inverted, built from
-    ``graph``'s own arrays.
+    The matrix is built from the graph's CSR layout, with no sort of the
+    links.  Its rows are heads and its columns tails.
+
+    - ``reverse=True`` (CheiRank) is exactly the operator of
+      ``graph.reverse()``.  Its heads are the graph's sources, so its
+      matrix is the layout as it stands:
+      ``csr_matrix((data, dst - 1, indptr))``.
+    - ``reverse=False`` (PageRank) has the destinations as heads.  Its
+      matrix is scipy's counting transpose of that layout, which lists
+      each row's links in link order.
+    - A boolean array with one entry per link (in ``graph``'s link order)
+      swaps the links where it is True.  The result is exactly the
+      operator of the graph with those links inverted.  This path alone
+      materializes each link's tail and head.
+
+    Each then sums parallel links with ``sum_duplicates``, in the order
+    that the graph the swapped links form would sum them.
     """
 
     def __init__(self, graph: DirectedGraph, alpha: float = DEFAULT_ALPHA, *,
@@ -215,9 +249,19 @@ class StochasticOperator:
         self.graph = graph
         self.alpha = float(alpha)
         n = graph.node_count
-        tail, head, weight = _oriented_links(graph, reverse)
-        data, self.dangling = normalized_links(n, tail, weight, self.alpha)
-        self.matrix = sp.csr_matrix((data, (head - 1, tail - 1)), shape=(n, n))
+        if np.ndim(reverse) == 0:
+            data, self.dangling = normalized_links(
+                *tail_strength(graph, bool(reverse)), graph.weight, self.alpha)
+            matrix = _layout_matrix(graph, data)
+            if not reverse:
+                matrix = matrix.T.tocsr()
+        else:
+            tail, head, weight = _swapped_links(graph, reverse)
+            strength = np.bincount(tail, weights=weight, minlength=n)
+            data, self.dangling = normalized_links(strength, strength[tail], weight, self.alpha)
+            matrix = sp.csr_matrix((data, (head, tail)), shape=(n, n))
+        matrix.sum_duplicates()
+        self.matrix = matrix
 
     @property
     def node_count(self) -> int:
@@ -289,41 +333,3 @@ def _power_iteration(g: DirectedGraph, alpha, tol, max_iter,
         converged=residual < tol,
     )
 
-
-_DENSE_LIMIT = 2000
-
-
-def _dense_stochastic(g: DirectedGraph) -> np.ndarray:
-    n = g.node_count
-    if n > _DENSE_LIMIT:
-        raise ValueError(f"dense path refuses graphs larger than {_DENSE_LIMIT} nodes")
-    S = np.zeros((n, n))
-    np.add.at(S, (g.dst - 1, g.src - 1), g.weight)
-    filled = g.out_strength > 0
-    S[:, filled] /= g.out_strength[filled]
-    S[:, ~filled] = 1.0 / n
-    return S
-
-
-def dense_google_matrix(g: DirectedGraph, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
-    """Full damped matrix for small graphs; element (i-1, j-1) is the
-    transition weight from node j to node i.  Test and rendering oracle."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must be in (0, 1]")
-    n = g.node_count
-    return alpha * _dense_stochastic(g) + (1.0 - alpha) / n
-
-
-def dense_solve_oracle(g: DirectedGraph, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
-    """Exact stationary probabilities by a dense direct solve.
-
-    Solves (I - alpha*S) p = (1-alpha)/N and renormalizes; S carries the
-    dangling columns explicitly as uniform.  Only intended for tests on
-    instances up to a few thousand nodes.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    n = g.node_count
-    S = _dense_stochastic(g)
-    p = np.linalg.solve(np.eye(n) - alpha * S, np.full(n, (1.0 - alpha) / n))
-    return p / p.sum()

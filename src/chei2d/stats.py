@@ -15,7 +15,7 @@ import numpy as np
 
 from ._bulk import write_rows
 from .graph import DirectedGraph
-from .ranking import DEFAULT_ALPHA, RankVector, TwoDRanking, normalized_links
+from .ranking import DEFAULT_ALPHA, RankVector, TwoDRanking, normalized_links, tail_strength
 
 __all__ = [
     "CorrelatorSeries",
@@ -322,21 +322,20 @@ def matrix_density_render(
     raw_window = min(int(raw_window), n)
     block = (k - 1) * cells // n
     ranks_per_block = np.bincount(np.arange(n) * cells // n, minlength=cells)
-    vals, dangling = normalized_links(n, g.src, g.weight, alpha)
+    vals, dangling = normalized_links(*tail_strength(g), g.weight, alpha)
 
     grid = ((1.0 - alpha) / n) * np.outer(ranks_per_block, ranks_per_block)
     dangling_cols = np.bincount(block[dangling], minlength=cells)
     grid += (alpha / n) * np.outer(ranks_per_block, dangling_cols)
-    flat = block[g.dst - 1] * cells + block[g.src - 1]
+    flat = block[g.dst - 1] * cells + g.at_source(block)
     grid += np.bincount(flat, weights=vals, minlength=cells * cells).reshape(cells, cells)
 
     raw = np.full((raw_window, raw_window), (1.0 - alpha) / n)
     # k is a permutation, so no column is named twice
     raw[:, k[dangling[k[dangling] <= raw_window]] - 1] += alpha / n
-    in_window = (k[g.src - 1] <= raw_window) & (k[g.dst - 1] <= raw_window)
-    rows = k[g.dst[in_window] - 1] - 1
-    cols = k[g.src[in_window] - 1] - 1
-    np.add.at(raw, (rows, cols), vals[in_window])
+    k_dst = k[g.dst - 1]
+    in_window = g.at_source(k <= raw_window) & (k_dst <= raw_window)
+    np.add.at(raw, (k_dst[in_window] - 1, g.at_source(k)[in_window] - 1), vals[in_window])
     return MatrixRender(DensityGrid(grid, "linear", float(grid.sum())), raw)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from ._bulk import leading_block_end, load_rows, write_rows
 from .ranking import RankVector, TwoDRanking
 
-__all__ = ["write_rank_table", "read_rank_table", "serialize_rank_table"]
+__all__ = ["write_rank_table", "read_rank_table"]
 
 _MAGIC = "chei2d-rank-table"
 # One row of the bulk table parse: node_id P K Pstar Kstar.
@@ -39,12 +39,6 @@ def _vector_params(name: str, v: RankVector) -> list[tuple[str, object]]:
         (f"{name}_residual", float(v.residual)),
         (f"{name}_converged", v.converged),
     ]
-
-
-def serialize_rank_table(ranking: TwoDRanking, params: dict | None = None) -> str:
-    buf = io.StringIO()
-    write_rank_table(ranking, buf, params=params)
-    return buf.getvalue()
 
 
 def write_rank_table(ranking: TwoDRanking, destination, params: dict | None = None) -> None:

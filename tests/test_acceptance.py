@@ -23,7 +23,6 @@ from chei2d import (
     correlator,
     correlator_components,
     correlator_series,
-    dense_solve_oracle,
     density_grid,
     filter_links_by_rank,
     filtered_cheirank,
@@ -38,6 +37,7 @@ from chei2d import (
 from chei2d.cli import main as cli_main
 from chei2d.stats import bin_ranks
 from conftest import bernoulli_graph, fixture_graphs
+from oracle import dense_solve_oracle
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 

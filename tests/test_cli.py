@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import chei2d.cli
-from chei2d import dense_solve_oracle, parse_edge_list
+from chei2d import parse_edge_list
 from chei2d.cli import main
 from chei2d.tableio import read_rank_table
 from conftest import CHAIN, THREE_CYCLE
+from oracle import dense_solve_oracle
 
 
 @pytest.fixture
@@ -83,6 +84,15 @@ def test_rank_oversized_id_is_line_numbered_error(tmp_path, capsys, text, lineno
     edges.write_text(text)
     assert run("rank", edges, "--out", tmp_path / "o") == 1
     assert f"error: line {lineno}: " in capsys.readouterr().err
+
+
+def test_rank_node_count_beyond_memory_is_error(tmp_path, capsys):
+    # numpy refuses the 8 EiB offsets array before allocating any of it
+    edges = tmp_path / "edges.txt"
+    edges.write_text("N 1000000000000000000\n1 2\n2 1\n")
+    assert run("rank", edges, "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "EiB" in err and "Traceback" not in err
 
 
 def test_filter_flag_conflict(cycle_file, tmp_path):

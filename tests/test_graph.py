@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -74,6 +75,12 @@ def test_parse_rejects_ids_beyond_int64():
     with pytest.raises(EdgeListParseError) as err:
         parse_edge_list("N 99999999999999999999\n1 2\n")
     assert err.value.lineno == 1
+
+
+def test_node_count_beyond_memory_fails_at_parse():
+    # the offsets array is the first N-long allocation; 8 EiB is refused
+    with pytest.raises(MemoryError):
+        parse_edge_list("N 1000000000000000000\n1 2\n")
 
 
 def test_parse_too_many_fields():
@@ -158,6 +165,71 @@ def test_links_in_order_are_copied_and_ties_sorted_by_weight():
     assert g.src.tolist() == [1, 1, 2]
     parallel = DirectedGraph(2, [1, 1, 1], [2, 2, 2], [2.0, 1.0, 3.0], weighted=True)
     assert parallel.weight.tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("src", [[1, 1, 2], [2, 1, 1], [1, 1, 1]])
+def test_from_links_keeps_no_caller_array(src, weighted):
+    src, dst, weight = np.array(src), np.array([2, 3, 3]), np.array([1.0, 2.0, 3.0])
+    g = DirectedGraph.from_links(3, src, dst, weight, weighted=weighted)
+    for arr in (g.indptr, g.dst, g.weight):
+        assert not any(np.shares_memory(arr, caller) for caller in (src, dst, weight))
+
+
+@given(st.data(), st.booleans(), st.booleans())
+def test_links_are_rows_of_a_csr_layout(data, weighted, collapse):
+    n = data.draw(st.integers(1, 12))
+    pairs = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=40))
+    weights = data.draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]),
+                                 min_size=len(pairs), max_size=len(pairs)))
+    src, dst = [s for s, _ in pairs], [d for _, d in pairs]
+    g = DirectedGraph.from_links(n, src, dst, weights, weighted=weighted, collapse=collapse)
+    links = sorted(zip(src, dst, weights if weighted else [1.0] * len(pairs)))
+    if collapse:
+        links = sorted({(s, d) for s, d, _ in links})
+    assert g.src.tolist() == [link[0] for link in links]
+    assert g.dst.tolist() == [link[1] for link in links]
+    if not collapse:
+        assert g.weight.tolist() == [link[2] for link in links]
+    assert g.indptr.shape == (n + 1,) and g.indptr[0] == 0 and g.indptr[-1] == g.link_count
+    assert np.all(np.diff(g.indptr) >= 0)
+    assert np.array_equal(np.diff(g.indptr), g.out_degree)
+
+
+def test_dangling_nodes_are_empty_rows():
+    g = DirectedGraph.from_links(6, [4, 2, 4, 2], [1, 6, 6, 1], collapse=False)
+    assert g.indptr.tolist() == [0, 0, 2, 2, 4, 4, 4]
+    assert g.src.tolist() == [2, 2, 4, 4]
+    assert g.dst.tolist() == [1, 6, 1, 6]
+    assert g.out_degree.tolist() == [0, 2, 0, 2, 0, 0]
+
+
+def test_unweighted_graph_holds_eight_bytes_per_link():
+    rng = np.random.default_rng(0)
+    n, links = 20_000, 200_000
+    src, dst = rng.integers(1, n + 1, links), rng.integers(1, n + 1, links)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = DirectedGraph.from_links(n, src, dst)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.link_count > 0.99 * links
+    # dst and indptr; the unit weights are one shared value
+    assert retained <= 8 * g.link_count + 8 * (n + 1) + 16_384
+    assert g.weight.strides == (0,)
+    assert not g.weight.flags.writeable
+
+
+@pytest.mark.parametrize("src, dst, weight", [
+    ([1, 2], [2], [1.0, 1.0]),
+    ([1, 2], [2, 1], [1.0, 1.0, 1.0]),
+])
+def test_from_links_rejects_unequal_lengths(src, dst, weight):
+    for collapse in (True, False):
+        with pytest.raises(ValueError, match="equal length"):
+            DirectedGraph.from_links(3, src, dst, weight, weighted=True, collapse=collapse)
 
 
 def test_serialize_sorted_by_source_then_destination():

@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -9,13 +12,12 @@ from chei2d import (
     StochasticOperator,
     TwoDRanking,
     cheirank,
-    dense_google_matrix,
-    dense_solve_oracle,
     pagerank,
     parse_edge_list,
     rank_order,
 )
 from conftest import CHAIN, THREE_CYCLE, bernoulli_graph
+from oracle import dense_google_matrix, dense_solve_oracle
 from strategies import graphs, prob_vectors
 
 
@@ -142,6 +144,47 @@ def test_swap_mask_operator_on_many_parallel_links():
             full = np.full(g.link_count, uniform)
             _assert_same_operator(StochasticOperator(g, reverse=full),
                                   StochasticOperator(g, reverse=uniform))
+
+
+def _coo_reference_operator(g, reverse, alpha=0.85):
+    """The operator's matrix and dangling columns by the COO recipe: every
+    link as (tail, head, weight), tail and head swapped where ``reverse``
+    holds, a weighted graph's swapped links sorted by (tail, head, weight),
+    each valued alpha * w / (total weight leaving its tail), then
+    ``csr_matrix((data, (head - 1, tail - 1)))``."""
+    n, weight = g.node_count, g.weight
+    if np.ndim(reverse) == 0:
+        tail, head = (g.dst, g.src) if reverse else (g.src, g.dst)
+    else:
+        tail = np.where(reverse, g.dst, g.src)
+        head = np.where(reverse, g.src, g.dst)
+        if g.weighted:
+            order = np.lexsort((weight, head, tail))
+            tail, head, weight = tail[order], head[order], weight[order]
+    strength = np.bincount(tail, weights=weight, minlength=n + 1)[1:]
+    data = alpha * weight / strength[tail - 1]
+    matrix = sp.csr_matrix((data, (head - 1, tail - 1)), shape=(n, n))
+    return SimpleNamespace(matrix=matrix, dangling=np.flatnonzero(strength == 0.0))
+
+
+def _assert_matches_coo_reference(g, mask):
+    for reverse in (False, True, mask):
+        _assert_same_operator(StochasticOperator(g, reverse=reverse),
+                              _coo_reference_operator(g, reverse))
+
+
+@given(st.data(), st.booleans(), st.booleans())
+def test_operator_matches_coo_reference(data, weighted, collapse):
+    g = data.draw(graphs(weighted=weighted, collapse=collapse))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=g.link_count,
+                                       max_size=g.link_count)), dtype=bool)
+    _assert_matches_coo_reference(g, mask)
+
+
+def test_operator_matches_coo_reference_on_many_parallel_links():
+    for seed in range(20):
+        g = _parallel_graph(seed)
+        _assert_matches_coo_reference(g, np.random.default_rng(seed).random(g.link_count) < 0.5)
 
 
 def test_swap_mask_must_be_one_bool_per_link(three_cycle):

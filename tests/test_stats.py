@@ -12,7 +12,6 @@ from chei2d import (
     correlator,
     correlator_components,
     correlator_series,
-    dense_google_matrix,
     density_grid,
     fit_exponent,
     matrix_density_render,
@@ -23,6 +22,7 @@ from chei2d import (
     ExponentFitError,
 )
 from conftest import bernoulli_graph
+from oracle import dense_google_matrix
 from strategies import rankings
 
 

@@ -4,9 +4,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from chei2d import TwoDRanking, read_rank_table, serialize_rank_table, tableio
+from chei2d import TwoDRanking, read_rank_table, tableio
 from chei2d._bulk import load_rows
 from conftest import bernoulli_graph
+from oracle import serialize_rank_table
 
 
 def test_round_trip_is_bit_exact():
