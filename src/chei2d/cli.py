@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from ._bulk import write_rows
 from .flow import compute_flow, fixed_point_cell
-from .graph import read_edge_list, serialize_edge_list, synth_scale_free
+from .graph import read_edge_list, synth_scale_free, write_edge_list
 from .ranking import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_ITER,
@@ -306,7 +306,7 @@ def cmd_synth(args):
     g = synth_scale_free(
         args.nodes, args.mu_in, args.mu_out, args.seed, links=args.links
     )
-    files = {"edges.txt": lambda fp: fp.write(serialize_edge_list(g))}
+    files = {"edges.txt": lambda fp: write_edge_list(g, fp)}
     return files, {"node_count": g.node_count, "link_count": g.link_count}, {}
 
 

@@ -19,7 +19,14 @@ from typing import IO
 
 import numpy as np
 
-from ._bulk import leading_block_end, load_rows, write_rows
+from ._bulk import (
+    decode_file,
+    decode_text,
+    encode_text,
+    leading_block_end,
+    load_rows,
+    write_rows,
+)
 
 __all__ = [
     "DirectedGraph",
@@ -138,7 +145,13 @@ class DirectedGraph:
         # Allocated before anything else N-long, so that a node count
         # beyond memory fails here.
         indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=node_count + 1)[1:], out=indptr[1:])
+        if src.size:
+            # src is sorted, so node i's links end after the last link whose
+            # source is i or lower; read in place, src may be a strided view.
+            ends = np.flatnonzero(src[1:] != src[:-1])
+            indptr[src[ends]] = ends + 1
+            indptr[src[-1]] = src.size
+            np.maximum.accumulate(indptr, out=indptr)
         if not weighted:
             weight = np.broadcast_to(1.0, dst.shape)
         for name, value in (("node_count", node_count), ("indptr", indptr), ("dst", dst),
@@ -268,12 +281,22 @@ def parse_edge_list(
     non-positive weights, empty input without a header).
     """
     text = source if isinstance(source, str) else source.read()
-    start = leading_block_end(text, _is_head_line)
-    links = _load_links(text[start:])
+    links = _links(encode_text(text), decode_text, drop_self_loops)
+    return DirectedGraph.from_links(*links, weighted=weighted)
+
+
+def _links(data: bytes, decode, drop_self_loops: bool):
+    """(node count, src, dst, weight) of an edge list's bytes.  ``decode``
+    turns bytes into the text the line loop reads; it runs on the leading
+    block alone when the body is read in bulk."""
+    start = leading_block_end(data, _is_head_line)
+    links = _load_links(data, start)
     if links is None:
-        declared, max_id, src, dst, weight = _parse_lines(io.StringIO(text), drop_self_loops)
+        declared, max_id, src, dst, weight = _parse_lines(
+            io.StringIO(decode(data)), drop_self_loops
+        )
     else:
-        declared, *_ = _parse_lines(io.StringIO(text[:start]), drop_self_loops)
+        declared, *_ = _parse_lines(io.StringIO(decode(data[:start])), drop_self_loops)
         src, dst, weight = links
         max_id = int(max(src.max(), dst.max()))
         if drop_self_loops:
@@ -281,17 +304,17 @@ def parse_edge_list(
             src, dst, weight = src[keep], dst[keep], weight[keep]
     if max_id == 0 and declared is None:
         raise ValueError("empty edge list and no 'N <count>' header")
-    node_count = max(max_id, declared or 0)
-    return DirectedGraph.from_links(node_count, src, dst, weight, weighted=weighted)
+    return max(max_id, declared or 0), src, dst, weight
 
 
-def _load_links(body: str):
-    """(src, dst, weight) of an edge-list body read in bulk, or None where
-    the line loop must decide: numpy declined the body, or it holds an id
-    below 1 or a weight that is not finite and positive."""
-    rows = load_rows(body, b"", _LINK_ROW)
+def _load_links(data: bytes | str, start: int = 0):
+    """(src, dst, weight) of an edge-list body, from offset ``start`` of
+    ``data``, read in bulk; or None where the line loop must decide: numpy
+    declined the body, or it holds an id below 1 or a weight that is not
+    finite and positive."""
+    rows = load_rows(data, start, b"", _LINK_ROW)
     if rows is None:
-        rows = load_rows(body, b".eE+-", _WEIGHTED_LINK_ROW)
+        rows = load_rows(data, start, b".eE+-", _WEIGHTED_LINK_ROW)
         if rows is None or not np.all(np.isfinite(rows["weight"]) & (rows["weight"] > 0)):
             return None
     if min(rows["src"].min(), rows["dst"].min()) < 1:
@@ -301,8 +324,8 @@ def _load_links(body: str):
     return rows["src"], rows["dst"], weight
 
 
-def _is_head_line(line: str) -> bool:
-    return not line or line.startswith("#") or line.split()[0] == "N"
+def _is_head_line(line: bytes) -> bool:
+    return not line or line.startswith(b"#") or line.split()[0] == b"N"
 
 
 def _parse_lines(lines, drop_self_loops: bool):
@@ -364,10 +387,14 @@ def _parse_lines(lines, drop_self_loops: bool):
     )
 
 
-def read_edge_list(path, **kwargs) -> DirectedGraph:
-    """:func:`parse_edge_list` from a file path (UTF-8)."""
-    with open(path, "r", encoding="utf-8") as fp:
-        return parse_edge_list(fp, **kwargs)
+def read_edge_list(path, *, weighted: bool = False,
+                   drop_self_loops: bool = False) -> DirectedGraph:
+    """:func:`parse_edge_list` from a file path.  The file is read as
+    bytes, and its text is decoded (UTF-8, universal newlines) only where
+    the line loop runs."""
+    with open(path, "rb") as fp:
+        links = _links(fp.read(), decode_file, drop_self_loops)
+    return DirectedGraph.from_links(*links, weighted=weighted)
 
 
 def serialize_edge_list(g: DirectedGraph) -> str:
@@ -378,15 +405,20 @@ def serialize_edge_list(g: DirectedGraph) -> str:
     re-parse; only collapsed graphs round-trip identically.
     """
     buf = io.StringIO()
-    buf.write(f"N {g.node_count}\n")
-    columns = (g.src, g.dst, g.weight) if g.weighted else (g.src, g.dst)
-    write_rows(buf, [], *columns, sep=" ")
+    write_edge_list(g, buf)
     return buf.getvalue()
 
 
-def write_edge_list(g: DirectedGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(serialize_edge_list(g))
+def write_edge_list(g: DirectedGraph, destination) -> None:
+    """Write :func:`serialize_edge_list`'s text to a path or text stream,
+    row chunk by row chunk."""
+    if not hasattr(destination, "write"):
+        with open(destination, "w", encoding="utf-8") as fp:
+            write_edge_list(g, fp)
+        return
+    destination.write(f"N {g.node_count}\n")
+    columns = (g.src, g.dst, g.weight) if g.weighted else (g.src, g.dst)
+    write_rows(destination, [], *columns, sep=" ")
 
 
 def synth_scale_free(

@@ -14,7 +14,14 @@ from typing import IO
 
 import numpy as np
 
-from ._bulk import leading_block_end, load_rows, write_rows
+from ._bulk import (
+    decode_file,
+    decode_text,
+    encode_text,
+    leading_block_end,
+    load_rows,
+    write_rows,
+)
 from .ranking import RankVector, TwoDRanking
 
 __all__ = ["write_rank_table", "read_rank_table"]
@@ -79,23 +86,25 @@ def _coerce(text: str):
 
 def read_rank_table(source) -> tuple[TwoDRanking, dict]:
     """Read a table back into a :class:`TwoDRanking` plus its header
-    parameters.  Raises ValueError on malformed rows, on probabilities
-    that are negative or not finite, and when K or K* is not the rank
-    order of its probability column (descending, ties by node id)."""
+    parameters, from a path (read as bytes) or a text stream.  Raises
+    ValueError on malformed rows, on probabilities that are negative or
+    not finite, and when K or K* is not the rank order of its probability
+    column (descending, ties by node id)."""
     if hasattr(source, "read"):
-        return _read(source)
-    with open(source, "r", encoding="utf-8") as fp:
-        return _read(fp)
+        return _read(encode_text(source.read()), decode_text)
+    with open(source, "rb") as fp:
+        return _read(fp.read(), decode_file)
 
 
-def _read(fp: IO[str]) -> tuple[TwoDRanking, dict]:
-    text = fp.read()
-    start = leading_block_end(text, lambda line: not line or line.startswith("#"))
-    rows = load_rows(text[start:], b".eE+-", _ROW)
+def _read(data: bytes, decode) -> tuple[TwoDRanking, dict]:
+    """``decode`` turns bytes into the text the line loop reads; it runs
+    on the leading block alone when the body is read in bulk."""
+    start = leading_block_end(data, lambda line: not line or line.startswith(b"#"))
+    rows = load_rows(data, start, b".eE+-", _ROW)
     if rows is None:
-        params, columns = _parse_lines(io.StringIO(text))
+        params, columns = _parse_lines(io.StringIO(decode(data)))
     else:
-        params, _ = _parse_lines(io.StringIO(text[:start]))
+        params, _ = _parse_lines(io.StringIO(decode(data[:start])))
         columns = [rows[name] for name in _ROW.names]
     node_id, p, k, ps, ks = columns
     if not node_id.size:
@@ -106,20 +115,33 @@ def _read(fp: IO[str]) -> tuple[TwoDRanking, dict]:
     p, k, ps, ks = p[by_node], k[by_node], ps[by_node], ks[by_node]
 
     def build(name: str, prob: np.ndarray, index: np.ndarray, column: str) -> RankVector:
-        vec = RankVector.from_probabilities(
-            prob,
+        return RankVector(
+            prob, _rank_permutation(prob, index, column), index,
             iterations_used=int(params.get(f"{name}_iterations", 0)),
             residual=float(params.get(f"{name}_residual", 0.0)),
             converged=bool(params.get(f"{name}_converged", 1)),
         )
-        if not np.array_equal(vec.index, index):
-            raise ValueError(
-                f"rank table {column} column is not the rank order of its probabilities"
-            )
-        return vec
 
     ranking = TwoDRanking(build("pagerank", p, k, "K"), build("cheirank", ps, ks, "Kstar"))
     return ranking, params
+
+
+def _rank_permutation(prob: np.ndarray, index: np.ndarray, column: str) -> np.ndarray:
+    """The node ids in rank order, after an O(N) check that ``index`` is
+    the rank order of ``prob`` (see :func:`rank_order`): every rank 1..N
+    once, probabilities non-increasing along the ranks, equal ones in
+    ascending id."""
+    if not np.all(np.isfinite(prob)) or np.any(prob < 0):
+        raise ValueError("probabilities must be finite and nonnegative")
+    n = prob.size
+    if np.all((index >= 1) & (index <= n)):
+        order = np.zeros(n, dtype=np.int64)
+        order[index - 1] = np.arange(1, n + 1)
+        ranked = prob[order - 1]
+        if (np.all(order) and not np.any(ranked[1:] > ranked[:-1])
+                and not np.any((ranked[1:] == ranked[:-1]) & (order[1:] < order[:-1]))):
+            return order
+    raise ValueError(f"rank table {column} column is not the rank order of its probabilities")
 
 
 def _parse_lines(lines) -> tuple[dict, list[np.ndarray]]:

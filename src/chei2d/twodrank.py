@@ -30,11 +30,10 @@ def two_d_rank(r: TwoDRanking) -> TwoDRankOrder:
     """Combined square-border ordering of a paired ranking."""
     n = r.node_count
     k, kstar = r.K, r.Kstar
-    ids = np.arange(1, n + 1, dtype=np.int64)
-    shell = np.maximum(k, kstar)
-    within = np.minimum(k, kstar)
-    by_rank = np.lexsort((ids, within, shell))
-    order = ids[by_rank]
+    # max and min both lie in 1..n, so this key orders by max, then min;
+    # a stable sort leaves remaining ties in ascending id
+    key = np.maximum(k, kstar) * (n + 1) + np.minimum(k, kstar)
+    order = np.argsort(key, kind="stable") + 1
     index = np.empty(n, dtype=np.int64)
     index[order - 1] = np.arange(1, n + 1)
     return TwoDRankOrder(order, index)

@@ -1,5 +1,5 @@
-"""Dense references for small graphs and an in-memory rank table, used
-only by the tests."""
+"""Dense references for small graphs, an in-memory rank table and the
+row text of a data file, used only by the tests."""
 
 import io
 
@@ -51,3 +51,16 @@ def serialize_rank_table(ranking: TwoDRanking, params: dict | None = None) -> st
     buf = io.StringIO()
     write_rank_table(ranking, buf, params=params)
     return buf.getvalue()
+
+
+def reference_rows(header_lines, *columns, sep: str = "\t") -> str:
+    """Data-file text by the first recipe: each header line as '# line',
+    then every value as ``repr`` of its ``.tolist()`` element joined by
+    ``sep``, bool columns as 0/1."""
+    text = "".join(f"# {line}\n" for line in header_lines)
+    arrays = [np.asarray(c) for c in columns]
+    arrays = [a.astype(np.int64) if a.dtype == bool else a for a in arrays]
+    if not arrays:
+        return text
+    row = sep.join(["{!r}"] * len(arrays)) + "\n"
+    return text + "".join(map(row.format, *(a.tolist() for a in arrays)))

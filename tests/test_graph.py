@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 from unittest import mock
 
@@ -13,6 +14,7 @@ from chei2d import (
     read_edge_list,
     serialize_edge_list,
     synth_scale_free,
+    write_edge_list,
 )
 from chei2d import graph as graph_module
 from chei2d._bulk import load_rows
@@ -237,6 +239,19 @@ def test_serialize_sorted_by_source_then_destination():
     assert serialize_edge_list(g) == "N 5\n1 2\n1 5\n3 1\n"
 
 
+@given(graphs(weighted=True) | graphs())
+def test_write_edge_list_writes_serialized_text(g):
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    assert buf.getvalue() == serialize_edge_list(g)
+
+
+def test_write_edge_list_to_path(tmp_path):
+    g = synth_scale_free(200, 2.1, 2.7, 3, links=1_000)
+    write_edge_list(g, tmp_path / "edges.txt")
+    assert (tmp_path / "edges.txt").read_bytes() == serialize_edge_list(g).encode()
+
+
 def test_degree_sum_matches_link_count():
     g = parse_edge_list("1 2\n1 3\n2 3\n3 3\n")
     assert int(g.out_degree.sum()) == g.link_count
@@ -422,3 +437,62 @@ def test_read_edge_list_translates_crlf(tmp_path):
     path = tmp_path / "crlf.txt"
     path.write_bytes(b"N 4\r\n1 2\r\n2 3\r\n\r\n")
     assert read_edge_list(path) == parse_edge_list("N 4\n1 2\n2 3\n")
+
+
+def _read_text_mode(path, **kwargs):
+    """read_edge_list as a text-mode stream reads the file: UTF-8 with
+    universal newlines."""
+    with open(path, encoding="utf-8") as fp:
+        return parse_edge_list(fp, **kwargs)
+
+
+@pytest.mark.parametrize("data", [
+    b"N 4\r\n1 2\r\n2 3\r\n\r\n",
+    b"# c\r\nN 4\r\n1 2\n2 3\n",
+    b"# c\r1 2\n2 3\n",
+    b"1 2\r3 4\n",
+    b"N 4\n1 2\n2 \xff3\n",
+    b"# \xc3\x28 comment\n1 2\n2 3\n",
+    b"1 2\n2 3\n# \xff\n",
+    b"# caf\xc3\xa9\nN 3\n1 2\n",
+])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_read_edge_list_reads_as_text_mode(tmp_path, data, weighted):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(data)
+    bulk = _outcome(read_edge_list, path, weighted=weighted)
+    assert bulk == _outcome(_read_text_mode, path, weighted=weighted)
+
+
+def test_read_edge_list_lone_carriage_return_ends_a_line(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(b"# c\r1 2\n2 3\n")
+    assert read_edge_list(path) == parse_edge_list("1 2\n2 3\n")
+    # a str is read as it is: the comment runs to the newline
+    assert parse_edge_list("# c\r1 2\n2 3\n") == parse_edge_list("N 3\n2 3\n")
+
+
+def test_read_edge_list_invalid_utf8_message(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(b"N 4\n1 2\n2 \xff3\n")
+    with pytest.raises(UnicodeDecodeError, match=(
+            "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte")):
+        read_edge_list(path)
+
+
+def test_read_edge_list_holds_no_decoded_text(tmp_path):
+    g = synth_scale_free(100_000, 2.1, 2.7, 4, links=200_000)
+    path = tmp_path / "edges.txt"
+    write_edge_list(g, path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        back = read_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == g
+    # The file's bytes, the 16 B/link rows numpy parses from them and the
+    # graph the rows become (8 B/link, 8 B/node).  One decoded copy of the
+    # text (a byte per byte of the file) exceeds the slack.
+    assert peak <= size + 24 * g.link_count + 8 * (g.node_count + 1) + 262_144

@@ -1,10 +1,12 @@
 import io
 from unittest import mock
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
-from chei2d import TwoDRanking, read_rank_table, tableio
+from chei2d import TwoDRanking, rank_order, read_rank_table, tableio
 from chei2d._bulk import load_rows
 from conftest import bernoulli_graph
 from oracle import serialize_rank_table
@@ -126,3 +128,98 @@ def test_row_edit_deep_in_body_matches_line_loop(edit, message):
         assert not isinstance(bulk, str)
     else:
         assert bulk == f"rank table line {k + 1}: {message}"
+
+
+# -- a path reads as a text-mode stream does ----------------------------------
+
+
+def _table_bytes_cases():
+    text = serialize_rank_table(TwoDRanking.compute(bernoulli_graph(5, n=12)), {"alpha": 0.85})
+    first = text.index("\n1 ") + 1
+    data = text.encode()
+    return {
+        "crlf": text.replace("\n", "\r\n").encode(),
+        "crlf header": (text[:first].replace("\n", "\r\n") + text[first:]).encode(),
+        "lone cr in header": data.replace(b"# N=12\n", b"# N=12\r"),
+        "lone cr in body": data.replace(b"\n3 ", b"\r3 "),
+        "invalid utf-8 in body": data.replace(b"\n2 ", b"\n2\xff "),
+        "invalid utf-8 in header": data.replace(b"# N=12", b"# N=\xe912"),
+        "utf-8 comment": data.replace(b"# N=12\n", b"# N=12\n# caf\xc3\xa9\n"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_table_bytes_cases()))
+def test_read_path_reads_as_text_mode(tmp_path, name):
+    path = tmp_path / "ranks.tsv"
+    path.write_bytes(_table_bytes_cases()[name])
+
+    def outcome(read):
+        try:
+            ranking, params = read()
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return ranking.K.tolist(), ranking.Kstar.tolist(), params
+
+    def text_mode():
+        with open(path, encoding="utf-8") as fp:
+            return read_rank_table(fp)
+
+    assert outcome(lambda: read_rank_table(path)) == outcome(text_mode)
+
+
+def test_read_invalid_utf8_message(tmp_path):
+    path = tmp_path / "ranks.tsv"
+    path.write_bytes(_table_bytes_cases()["invalid utf-8 in header"])
+    with pytest.raises(UnicodeDecodeError, match="can't decode byte 0xe9 in position 24"):
+        read_rank_table(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda k: k[::-1],                     # ranks reversed
+    lambda k: np.where(k == 1, 2, k),      # rank 1 missing, rank 2 twice
+    lambda k: np.where(k == 1, 0, k),      # rank out of range
+    lambda k: np.where(k == 1, k.size + 1, k),
+])
+def test_read_rejects_k_that_is_not_the_rank_order(edit):
+    ranking = TwoDRanking.compute(bernoulli_graph(6, n=15))
+    lines = serialize_rank_table(ranking).splitlines(keepends=True)
+    rows = [line.split() for line in lines if not line.startswith("#")]
+    k = edit(np.array([int(row[2]) for row in rows]))
+    text = "".join(f"{r[0]} {r[1]} {kk} {r[3]} {r[4]}\n" for r, kk in zip(rows, k))
+    with pytest.raises(ValueError, match="K column is not the rank order"):
+        read_rank_table(io.StringIO(text))
+
+
+def test_read_rejects_a_repeated_rank_whose_probabilities_still_descend():
+    # rank 1 is missing; node 2 ranks second as it should, node 1 too
+    with pytest.raises(ValueError, match="K column is not the rank order"):
+        read_rank_table(io.StringIO("1 0.625 2 0.5 1\n2 0.375 2 0.5 2\n"))
+
+
+def test_read_ties_must_rank_in_ascending_id():
+    text = "1 0.25 2 0.5 1\n2 0.25 1 0.5 2\n3 0.5 3 0.0 3\n"
+    with pytest.raises(ValueError, match="K column is not the rank order"):
+        read_rank_table(io.StringIO(text))
+    good, _ = read_rank_table(io.StringIO("1 0.25 2 0.5 1\n2 0.25 3 0.5 2\n3 0.5 1 0.0 3\n"))
+    assert good.pagerank.order.tolist() == [3, 1, 2]
+    assert good.cheirank.order.tolist() == [1, 2, 3]
+
+
+@given(st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5]), min_size=1, max_size=8), st.data())
+def test_rank_check_agrees_with_rank_order(p, data):
+    p = np.asarray(p)
+    truth = rank_order(p)
+    k = np.asarray(data.draw(
+        st.sampled_from([truth.tolist()]) | st.permutations(truth.tolist())
+        | st.lists(st.integers(0, p.size + 1), min_size=p.size, max_size=p.size)
+    ))
+    text = "".join(f"{i} {pi!r} {ki} 1.0 {i}\n"
+                   for i, (pi, ki) in enumerate(zip(p.tolist(), k), 1))
+    try:
+        ranking, _ = read_rank_table(io.StringIO(text))
+    except ValueError as exc:
+        assert not np.array_equal(k, truth)
+        assert "K column is not the rank order" in str(exc)
+    else:
+        assert np.array_equal(k, truth)
+        assert np.array_equal(ranking.pagerank.order[ranking.K - 1], np.arange(1, p.size + 1))

@@ -1,3 +1,4 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
@@ -104,3 +105,28 @@ def test_local_rank_shrinking_subset_keeps_relative_order(r):
         for y in members:
             if big_pos[x] < big_pos[y]:
                 assert small_pos[x] < small_pos[y]
+
+
+@st.composite
+def paired_indexes(draw):
+    """K and K* permutations of 1..n, K* often a partial copy of K, so
+    that nodes share a shell and sit on the diagonal."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.permutations(range(1, n + 1)))
+    kstar = list(draw(st.permutations(range(1, n + 1))))
+    fixed = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    for i in fixed:
+        j = kstar.index(k[i])  # swap so that node i + 1 has K* == K
+        kstar[i], kstar[j] = kstar[j], kstar[i]
+    return k, kstar
+
+
+@given(paired_indexes())
+def test_two_d_rank_matches_lexsort_reference(indexes):
+    r = ranking_from_indexes(*indexes)
+    ids = np.arange(1, r.node_count + 1)
+    shell, within = np.maximum(r.K, r.Kstar), np.minimum(r.K, r.Kstar)
+    order = ids[np.lexsort((ids, within, shell))]
+    combined = two_d_rank(r)
+    assert np.array_equal(combined.order, order)
+    assert np.array_equal(combined.index[order - 1], ids)
