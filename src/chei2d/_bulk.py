@@ -34,6 +34,8 @@ _CHECK_BYTES = 1 << 20
 def write_rows(fp: IO[str], header_lines, *columns, sep: str = "\t") -> None:
     """Write each header line as '# line', then one row per index of the
     equal-length ``columns``, values separated by the one-byte ``sep``.
+    A bad ``sep`` or columns of unequal length raise ValueError before
+    anything is written.
 
     Each value's text is ``repr`` of its ``.tolist()`` element: ints as
     ``str`` prints them, floats with round-trip precision, and bool
@@ -42,11 +44,13 @@ def write_rows(fp: IO[str], header_lines, *columns, sep: str = "\t") -> None:
     of one fixed-width matrix per chunk of rows, which bounds the memory
     a write holds.
     """
-    fp.writelines(f"# {line}\n" for line in header_lines)
     arrays = [np.asarray(c) for c in columns]
     separator = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)
     if separator.size != 1:
         raise ValueError("sep must be a single ASCII character")
+    if any(a.ndim != 1 for a in arrays) or len({a.size for a in arrays}) > 1:
+        raise ValueError("columns must be one-dimensional and of equal length")
+    fp.writelines(f"# {line}\n" for line in header_lines)
     for start in range(0, len(arrays[0]) if arrays else 0, _CHUNK_ROWS):
         fields = [_field_bytes(a[start:start + _CHUNK_ROWS]) for a in arrays]
         rows = fields[0].shape[0]

@@ -83,13 +83,15 @@ def compute_flow(
     counts = np.bincount(cx * cells + cy, minlength=size).reshape(shape)
 
     if g.link_count:
-        d0 = g.dst - 1
         source_cell = g.at_source(cx * cells + cy)
-        sum_x, sum_y = (
-            np.bincount(source_cell, weights=c[d0] - g.at_source(c), minlength=size).reshape(shape)
-            for c in (cx, cy)
-        )
         link_counts = np.bincount(source_cell, minlength=size).reshape(shape)
+        # Each link adds its destination's coordinate and takes away its
+        # source cell's; whole numbers, so the sums are exact in any order.
+        sum_x, sum_y = (
+            np.bincount(source_cell, weights=g.at_destination(c.astype(np.float64)),
+                        minlength=size).reshape(shape) - link_counts * at_cell
+            for c, at_cell in zip((cx, cy), np.indices(shape))
+        )
     else:
         sum_x = np.zeros(shape)
         sum_y = np.zeros(shape)

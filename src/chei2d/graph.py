@@ -183,6 +183,15 @@ class DirectedGraph:
         per node) taken at the link's source, without building ``src``."""
         return np.repeat(values, self.out_degree)
 
+    def at_destination(self, values) -> np.ndarray:
+        """``values[dst - 1]``, one entry per link from ``values`` (one per
+        node) taken at the link's destination, with no int64 copy of
+        ``dst``: a copy of ``values`` with one leading entry is indexed by
+        ``dst`` as it stands.  (``np.take`` would copy the read-only
+        ``dst``.)"""
+        values = np.asarray(values)
+        return np.concatenate((values[:1], values))[self.dst]
+
     @cached_property
     def out_degree(self) -> np.ndarray:
         """Outgoing link count per node (index 0 holds node 1)."""

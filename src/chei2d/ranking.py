@@ -43,7 +43,18 @@ def rank_order(probabilities) -> np.ndarray:
         raise ValueError("probabilities must be a non-empty vector")
     if not np.all(np.isfinite(p)) or np.any(p < 0):
         raise ValueError("probabilities must be finite and nonnegative")
-    by_rank = np.argsort(-p, kind="stable")
+    by_rank = np.argsort(-p)
+    # The sort leaves equal probabilities in any order: put each run of
+    # them in ascending id by one more sort, of (run, id) as one key.
+    tied = p[by_rank[1:]] == p[by_rank[:-1]]
+    if tied.any():
+        in_run = np.zeros(p.size, dtype=bool)
+        in_run[1:] = tied
+        in_run[:-1] |= tied
+        at = np.flatnonzero(in_run)
+        run = np.cumsum(np.concatenate(([True], ~tied)))[at]
+        members = by_rank[at]
+        by_rank[at] = members[np.argsort(run * p.size + members)]
     index = np.empty(p.size, dtype=np.int64)
     index[by_rank] = np.arange(1, p.size + 1)
     return index
@@ -182,15 +193,34 @@ def tail_strength(graph: DirectedGraph, reverse: bool = False):
         # a CSR product with ones adds each row's values left to right
         strength = _layout_matrix(graph, graph.weight) @ np.ones(graph.node_count)
     if reverse:
-        return strength, strength[graph.dst - 1]
+        return strength, graph.at_destination(strength)
     return strength, graph.at_source(strength)
+
+
+def _columns(graph: DirectedGraph) -> np.ndarray:
+    """Each link's 0-based destination as a matrix index, with no int64
+    copy of ``dst``: int32, as scipy stores the indices of a matrix of
+    ``graph``'s size, unless its node or link count needs int64."""
+    fits = max(graph.node_count, graph.link_count) <= np.iinfo(np.int32).max
+    columns = graph.dst.astype(np.int32 if fits else np.int64)
+    columns -= 1
+    return columns
 
 
 def _layout_matrix(graph: DirectedGraph, data) -> sp.csr_matrix:
     """``data``, one value per link, as a CSR matrix on ``graph``'s layout:
     row ``i - 1`` holds node ``i``'s out-links, in link order."""
     n = graph.node_count
-    return sp.csr_matrix((data, graph.dst - 1, graph.indptr), shape=(n, n))
+    return sp.csr_matrix((data, _columns(graph), graph.indptr), shape=(n, n))
+
+
+def _has_parallel_links(graph: DirectedGraph) -> bool:
+    """Whether two links share their source and destination.  Links are
+    sorted by (src, dst), so such links are neighbours in one row."""
+    same = graph.dst[1:] == graph.dst[:-1]
+    row_starts = graph.indptr[(graph.indptr > 0) & (graph.indptr < graph.link_count)]
+    same[row_starts - 1] = False
+    return bool(same.any())
 
 
 def _swapped_links(graph: DirectedGraph, swap: np.ndarray):
@@ -202,9 +232,6 @@ def _swapped_links(graph: DirectedGraph, swap: np.ndarray):
     weight).  An unweighted graph keeps its own link order, as its
     strengths are exact integer sums and its duplicates are equal; a
     weighted graph is sorted."""
-    swap = np.asarray(swap)
-    if swap.dtype != bool or swap.shape != (graph.link_count,):
-        raise ValueError("reverse must be a bool or one bool per link")
     src = graph.src
     tail = np.where(swap, graph.dst, src)
     head = np.where(swap, src, graph.dst)
@@ -216,6 +243,81 @@ def _swapped_links(graph: DirectedGraph, swap: np.ndarray):
     return tail[order], head[order], graph.weight[order]
 
 
+def _unweighted_matrix(graph: DirectedGraph, alpha: float, swap):
+    """(matrix, dangling columns) of an unweighted graph without parallel
+    links, the links where ``swap`` holds inverted.  Sorts nothing.
+
+    The kept links give PageRank's structure: the counting transpose of
+    the layout restricted to them, whose rows list their tails in
+    ascending order.  The swapped links give CheiRank's: the layout
+    restricted to them, as it stands.  Both are canonical CSR with a link
+    count per entry, and their sum counts at most two links an entry, a
+    kept ``u -> v`` and a swapped ``v -> u``.  Each entry is then valued
+    ``alpha / s`` of its tail column, as :func:`normalized_links` values a
+    unit weight, times its count; ``x * 2 == x + x``, so the values equal
+    the summed links' bit for bit."""
+    n = graph.node_count
+    columns = _columns(graph)
+    if np.ndim(swap):
+        # the swapped links before each row start
+        running = np.zeros(graph.link_count + 1, dtype=columns.dtype)
+        np.cumsum(swap, out=running[1:])
+        swapped_ptr = running[graph.indptr]
+        del running
+        kept_columns, swapped_columns = columns[~swap], columns[swap]
+    else:
+        none = np.empty(0, dtype=columns.dtype)
+        swapped_ptr, kept_columns, swapped_columns = (
+            (graph.indptr, none, columns) if swap else (0, columns, none))
+    del columns
+    kept_ptr = graph.indptr - swapped_ptr
+
+    # Each array is dropped once used: together they set the build's peak.
+    shape = (n, n)
+    parts = []
+    if kept_columns.size or not swapped_columns.size:
+        kept = sp.csr_matrix((np.ones(kept_columns.size, dtype=np.int8), kept_columns,
+                              kept_ptr), shape=shape)
+        parts.append(kept.T.tocsr())
+        del kept
+    del kept_columns
+    if swapped_columns.size:
+        parts.append(sp.csr_matrix((np.ones(swapped_columns.size, dtype=np.int8),
+                                    swapped_columns, swapped_ptr), shape=shape))
+    # a tail's strength: its kept out-links and its swapped in-links
+    strength = np.diff(kept_ptr) + np.bincount(swapped_columns, minlength=n)
+    del swapped_columns, kept_ptr, swapped_ptr
+    counts = parts[0] + parts[1] if len(parts) == 2 else parts[0]
+    del parts
+
+    strength = strength.astype(np.float64)
+    dangling = np.flatnonzero(strength == 0.0)
+    value = np.divide(alpha, strength, out=strength, where=strength > 0.0)
+    data = value[counts.indices]
+    if counts.nnz < graph.link_count:  # entries a kept and a swapped link share
+        data *= counts.data
+    return sp.csr_matrix((data, counts.indices, counts.indptr), shape=shape), dangling
+
+
+def _summed_matrix(graph: DirectedGraph, alpha: float, swap):
+    """(matrix, dangling columns) of any graph, the links where ``swap``
+    holds inverted: each link valued by :func:`normalized_links`, and
+    parallel links summed as the graph the swapped links form sums them."""
+    n = graph.node_count
+    if np.ndim(swap) == 0:
+        data, dangling = normalized_links(*tail_strength(graph, swap), graph.weight, alpha)
+        matrix = _layout_matrix(graph, data)
+        if not swap:
+            matrix = matrix.T.tocsr()
+    else:
+        tail, head, weight = _swapped_links(graph, swap)
+        strength = np.bincount(tail, weights=weight, minlength=n)
+        data, dangling = normalized_links(strength, strength[tail], weight, alpha)
+        matrix = sp.csr_matrix((data, (head, tail)), shape=(n, n))
+    matrix.sum_duplicates()
+    return matrix, dangling
+
+
 class StochasticOperator:
     """Sparse action of the damped operator alpha*S + (1-alpha)/N.
 
@@ -223,45 +325,40 @@ class StochasticOperator:
     dangling columns stay implicit and contribute their probability mass
     uniformly at application time, keeping memory at O(links + N).
 
-    The matrix is built from the graph's CSR layout, with no sort of the
-    links.  Its rows are heads and its columns tails.
+    Rows are heads and columns tails.  ``reverse`` is a bool, which swaps
+    every link's tail and head or none, or a boolean array with one entry
+    per link (in ``graph``'s link order), which swaps the links where it
+    is True.  The result is exactly the operator of the graph with those
+    links inverted: ``reverse=True`` (CheiRank) that of
+    ``graph.reverse()``, ``reverse=False`` (PageRank) that of ``graph``.
 
-    - ``reverse=True`` (CheiRank) is exactly the operator of
-      ``graph.reverse()``.  Its heads are the graph's sources, so its
-      matrix is the layout as it stands:
-      ``csr_matrix((data, dst - 1, indptr))``.
-    - ``reverse=False`` (PageRank) has the destinations as heads.  Its
-      matrix is scipy's counting transpose of that layout, which lists
-      each row's links in link order.
-    - A boolean array with one entry per link (in ``graph``'s link order)
-      swaps the links where it is True.  The result is exactly the
-      operator of the graph with those links inverted.  This path alone
-      materializes each link's tail and head.
-
-    Each then sums parallel links with ``sum_duplicates``, in the order
-    that the graph the swapped links form would sum them.
+    - An unweighted graph without parallel links is built from its CSR
+      layout with no sort: PageRank's matrix is scipy's counting
+      transpose of the layout, CheiRank's is the layout as it stands, and
+      a mask's is the sum of the two, each restricted to its links.
+    - A weighted graph, or one with parallel links, sums parallel links
+      with ``sum_duplicates`` in the order that the graph the swapped
+      links form would sum them.  A bool reverse also builds from the
+      layout; a mask materializes each link's tail and head, sorted by
+      (tail, head, weight) when weighted.
     """
 
     def __init__(self, graph: DirectedGraph, alpha: float = DEFAULT_ALPHA, *,
                  reverse: bool | np.ndarray = False):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
+        if np.ndim(reverse) == 0:
+            reverse = bool(reverse)
+        else:
+            reverse = np.asarray(reverse)
+            if reverse.dtype != bool or reverse.shape != (graph.link_count,):
+                raise ValueError("reverse must be a bool or one bool per link")
         self.graph = graph
         self.alpha = float(alpha)
-        n = graph.node_count
-        if np.ndim(reverse) == 0:
-            data, self.dangling = normalized_links(
-                *tail_strength(graph, bool(reverse)), graph.weight, self.alpha)
-            matrix = _layout_matrix(graph, data)
-            if not reverse:
-                matrix = matrix.T.tocsr()
+        if graph.weighted or _has_parallel_links(graph):
+            self.matrix, self.dangling = _summed_matrix(graph, self.alpha, reverse)
         else:
-            tail, head, weight = _swapped_links(graph, reverse)
-            strength = np.bincount(tail, weights=weight, minlength=n)
-            data, self.dangling = normalized_links(strength, strength[tail], weight, self.alpha)
-            matrix = sp.csr_matrix((data, (head, tail)), shape=(n, n))
-        matrix.sum_duplicates()
-        self.matrix = matrix
+            self.matrix, self.dangling = _unweighted_matrix(graph, self.alpha, reverse)
 
     @property
     def node_count(self) -> int:

@@ -126,7 +126,7 @@ def _inversion_mask(at_src: np.ndarray, at_dst: np.ndarray, eta: float, mode: st
 
 
 def _filter(g: DirectedGraph, values: np.ndarray, eta: float, mode: str) -> FilterResult:
-    mask = _inversion_mask(g.at_source(values), values[g.dst - 1], eta, mode)
+    mask = _inversion_mask(g.at_source(values), g.at_destination(values), eta, mode)
     mask.setflags(write=False)
     return FilterResult(g, mask)
 
@@ -228,7 +228,7 @@ def measure_fraction_curve(
     if ranking.node_count != g.node_count:
         raise ValueError("rank vector does not match the graph")
     values = ranking.probabilities if mode == "probability" else ranking.index.astype(np.float64)
-    at_src, at_dst = g.at_source(values), values[g.dst - 1]
+    at_src, at_dst = g.at_source(values), g.at_destination(values)
     out = np.empty(etas.size)
     for i, eta in enumerate(etas):
         out[i] = _inversion_mask(at_src, at_dst, float(eta), mode).mean() if g.link_count else 0.0

@@ -327,14 +327,18 @@ def matrix_density_render(
     grid = ((1.0 - alpha) / n) * np.outer(ranks_per_block, ranks_per_block)
     dangling_cols = np.bincount(block[dangling], minlength=cells)
     grid += (alpha / n) * np.outer(ranks_per_block, dangling_cols)
-    flat = block[g.dst - 1] * cells + g.at_source(block)
+    flat = g.at_destination(block)
+    flat *= cells
+    flat += g.at_source(block)
     grid += np.bincount(flat, weights=vals, minlength=cells * cells).reshape(cells, cells)
+    del flat
 
     raw = np.full((raw_window, raw_window), (1.0 - alpha) / n)
     # k is a permutation, so no column is named twice
     raw[:, k[dangling[k[dangling] <= raw_window]] - 1] += alpha / n
-    k_dst = k[g.dst - 1]
-    in_window = g.at_source(k <= raw_window) & (k_dst <= raw_window)
+    k_dst = g.at_destination(k)
+    in_window = g.at_source(k <= raw_window)
+    in_window &= k_dst <= raw_window
     np.add.at(raw, (k_dst[in_window] - 1, g.at_source(k)[in_window] - 1), vals[in_window])
     return MatrixRender(DensityGrid(grid, "linear", float(grid.sum())), raw)
 

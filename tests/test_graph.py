@@ -224,6 +224,44 @@ def test_unweighted_graph_holds_eight_bytes_per_link():
     assert not g.weight.flags.writeable
 
 
+_DTYPES = [np.int64, np.int32, np.uint8, np.float64, np.float32, bool, np.complex128, "S3",
+           object]
+
+
+@given(graphs(weighted=True, collapse=False), st.sampled_from(_DTYPES))
+def test_at_destination_is_values_at_dst(g, dtype):
+    values = (np.arange(g.node_count) * 7 % 5).astype(dtype)
+    expected = values[g.dst - 1]
+    out = g.at_destination(values)
+    assert out.dtype == expected.dtype
+    assert out.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("dtype", _DTYPES)
+def test_at_destination_of_an_empty_graph(dtype):
+    g = DirectedGraph.from_links(3, [], [])
+    values = np.arange(3).astype(dtype)
+    out = g.at_destination(values)
+    assert out.shape == (0,) and out.dtype == values[g.dst - 1].dtype
+
+
+def test_at_destination_makes_no_int64_copy_of_dst():
+    rng = np.random.default_rng(1)
+    n, links = 20_000, 200_000
+    g = DirectedGraph.from_links(n, rng.integers(1, n + 1, links), rng.integers(1, n + 1, links))
+    values = rng.random(n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = g.at_destination(values)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, values[g.dst - 1])
+    # the gathered values and one padded copy of values; dst - 1 is 8 B/link more
+    assert peak <= 8 * g.link_count + 8 * (n + 1) + 16_384
+
+
 @pytest.mark.parametrize("src, dst, weight", [
     ([1, 2], [2], [1.0, 1.0]),
     ([1, 2], [2, 1], [1.0, 1.0, 1.0]),

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given
 import hypothesis.strategies as st
 
+from chei2d import ranking
 from chei2d import (
     DirectedGraph,
     RankVector,
@@ -187,6 +188,56 @@ def test_operator_matches_coo_reference_on_many_parallel_links():
         _assert_matches_coo_reference(g, np.random.default_rng(seed).random(g.link_count) < 0.5)
 
 
+def _has_parallel_links_by_pairs(g):
+    return len(set(zip(g.src.tolist(), g.dst.tolist()))) < g.link_count
+
+
+@given(st.data(), st.booleans())
+def test_unweighted_builder_matches_coo_reference(data, collapse):
+    g = data.draw(graphs(collapse=collapse))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=g.link_count,
+                                       max_size=g.link_count)), dtype=bool)
+    assert ranking._has_parallel_links(g) == _has_parallel_links_by_pairs(g)
+    if ranking._has_parallel_links(g):
+        return
+    for reverse in (False, True, mask):
+        matrix, dangling = ranking._unweighted_matrix(g, 0.85, reverse)
+        _assert_same_operator(SimpleNamespace(matrix=matrix, dangling=dangling),
+                              _coo_reference_operator(g, reverse))
+
+
+def test_parallel_self_loops_keep_the_summing_path():
+    # Five copies of one value, three kept and two swapped: the sort-free
+    # parts would add them in another order than the filtered graph does.
+    g = DirectedGraph.from_links(1, [1] * 5, [1] * 5, collapse=False)
+    mask = np.array([False, False, False, True, True])
+    assert ranking._has_parallel_links(g)
+    _assert_swap_mask_is_filtered_graph(g, mask)
+    for reverse in (False, True, mask):
+        _assert_same_operator(StochasticOperator(g, reverse=reverse),
+                              _coo_reference_operator(g, reverse))
+
+
+def test_unweighted_operator_sorts_nothing(monkeypatch):
+    g = bernoulli_graph(3, n=60, density=0.2)
+    mask = np.random.default_rng(3).random(g.link_count) < 0.5
+    # both orientations of some links, so the parts share entries
+    mask[::7] = True
+    expected = [_coo_reference_operator(g, reverse) for reverse in (False, True, mask)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the unweighted builder sorted")
+
+    for owner, name in [(np, "lexsort"), (np, "argsort"), (np, "sort"),
+                        (sp.csr_matrix, "sort_indices"), (sp.csr_matrix, "sum_duplicates"),
+                        (ranking, "_swapped_links")]:
+        monkeypatch.setattr(owner, name, refuse)
+    built = [StochasticOperator(g, reverse=reverse) for reverse in (False, True, mask)]
+    monkeypatch.undo()
+    for op, reference in zip(built, expected):
+        _assert_same_operator(op, reference)
+
+
 def test_swap_mask_must_be_one_bool_per_link(three_cycle):
     for bad in (np.ones(2, dtype=bool), np.ones((3, 1), dtype=bool), [1, 0, 1]):
         with pytest.raises(ValueError, match="one bool per link"):
@@ -269,6 +320,30 @@ def test_rank_order_rejects_bad_input():
         rank_order([0.5, -0.1])
     with pytest.raises(ValueError):
         rank_order([0.5, np.nan])
+
+
+def _stable_rank_order(p):
+    by_rank = np.argsort(-p, kind="stable")
+    index = np.empty(p.size, dtype=np.int64)
+    index[by_rank] = np.arange(1, p.size + 1)
+    return index
+
+
+@given(st.integers(1, 3000), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_rank_order_is_the_stable_sort_on_large_tie_classes(n, distinct, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.choice(np.concatenate(([0.0, -0.0], rng.random(distinct))), n)
+    assert np.array_equal(rank_order(p), _stable_rank_order(p))
+
+
+def test_rank_order_is_the_stable_sort_on_a_pagerank_sized_vector():
+    # 1.5e5 nodes, one tie class of 13,482 and 10,813 nodes in pairs
+    rng = np.random.default_rng(7)
+    p = rng.random(150_000)
+    p[rng.permutation(p.size)[:13_482]] = p.min() / 2
+    pairs = rng.permutation(p.size)[:10_813 * 2]
+    p[pairs[1::2]] = p[pairs[::2]]
+    assert np.array_equal(rank_order(p), _stable_rank_order(p))
 
 
 @given(prob_vectors())
