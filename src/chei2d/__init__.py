@@ -14,7 +14,6 @@ from .graph import (
     GenerationError,
     parse_edge_list,
     read_edge_list,
-    serialize_edge_list,
     synth_scale_free,
     write_edge_list,
 )

@@ -161,5 +161,14 @@ def decode_text(data: bytes) -> str:
 
 def decode_file(data: bytes) -> str:
     """A file's bytes as ``open(path, encoding="utf-8").read()`` returns
-    them: strict UTF-8 with universal newlines, the same error messages."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    them: strict UTF-8 with universal newlines.  Bytes that are not UTF-8
+    raise ValueError naming the 1-based line of the first bad byte, as
+    universal newlines count lines."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start]
+        lineno = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        raise ValueError(f"line {lineno}: invalid UTF-8, byte 0x{data[exc.start]:02x} "
+                         f"({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -34,7 +34,6 @@ __all__ = [
     "GenerationError",
     "parse_edge_list",
     "read_edge_list",
-    "serialize_edge_list",
     "write_edge_list",
     "synth_scale_free",
 ]
@@ -61,7 +60,7 @@ class GenerationError(RuntimeError):
 def _in_order(*keys: np.ndarray) -> bool:
     """Whether rows are in lexicographic order of ``keys``, the first key
     most significant.  An O(n) check that lets already-sorted links (an
-    edge list written by :func:`serialize_edge_list`, for one) skip a
+    edge list written by :func:`write_edge_list`, for one) skip a
     stable sort, which would leave them unchanged."""
     tied = np.ones(max(keys[0].size - 1, 0), dtype=bool)
     for key in keys:
@@ -115,8 +114,7 @@ class DirectedGraph:
     weighted: bool = False
     collapsed_duplicates: int = 0
 
-    def __init__(self, node_count: int, src, dst, weight, weighted: bool = False,
-                 collapsed_duplicates: int = 0):
+    def __init__(self, node_count: int, src, dst, weight, weighted: bool = False):
         src, dst, weight = _link_arrays(src, dst, weight)
         if _in_order(src, dst, weight):
             # Copy as the sort would have: a graph never shares (and then
@@ -126,7 +124,7 @@ class DirectedGraph:
             order = np.lexsort((weight, dst, src))
             src, dst = src[order], dst[order]
             weight = weight[order] if weighted else weight
-        self._store(node_count, src, dst, weight, weighted, collapsed_duplicates)
+        self._store(node_count, src, dst, weight, weighted, 0)
 
     def _store(self, node_count, src, dst, weight, weighted, collapsed_duplicates):
         """Check links sorted by source and keep them as the layout.
@@ -205,13 +203,6 @@ class DirectedGraph:
         deg = np.bincount(self.dst, minlength=self.node_count + 1)[1:]
         deg.setflags(write=False)
         return deg
-
-    def reverse(self) -> "DirectedGraph":
-        """Graph with every link direction flipped.  An involution that
-        swaps the in- and out-degree vectors exactly; no solver builds it."""
-        return DirectedGraph(
-            self.node_count, self.dst, self.src, self.weight, weighted=self.weighted
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedGraph):
@@ -406,21 +397,14 @@ def read_edge_list(path, *, weighted: bool = False,
     return DirectedGraph.from_links(*links, weighted=weighted)
 
 
-def serialize_edge_list(g: DirectedGraph) -> str:
-    """Byte-stable edge-list text: header, then links sorted by (src, dst).
+def write_edge_list(g: DirectedGraph, destination) -> None:
+    """Write ``g`` as byte-stable edge-list text to a path or text stream,
+    row chunk by row chunk: the header ``N <count>``, then one line per
+    link in (src, dst) order.
 
     Weighted graphs carry a third column with full float precision.
-    Parallel links serialize as repeated lines and will collapse again on
-    re-parse; only collapsed graphs round-trip identically.
-    """
-    buf = io.StringIO()
-    write_edge_list(g, buf)
-    return buf.getvalue()
-
-
-def write_edge_list(g: DirectedGraph, destination) -> None:
-    """Write :func:`serialize_edge_list`'s text to a path or text stream,
-    row chunk by row chunk."""
+    Parallel links are written as repeated lines and collapse again on
+    re-parse; only collapsed graphs round-trip identically."""
     if not hasattr(destination, "write"):
         with open(destination, "w", encoding="utf-8") as fp:
             write_edge_list(g, fp)
@@ -452,7 +436,7 @@ def synth_scale_free(
     """
     if node_count < 10:
         raise ValueError("node_count must be at least 10")
-    if mu_in <= 1 or mu_out <= 1:
+    if not (mu_in > 1 and mu_out > 1):  # NaN included
         raise ValueError("power-law exponents must exceed 1")
     rng = np.random.default_rng(seed)
     ids = np.arange(1, node_count + 1, dtype=np.int64)

@@ -158,14 +158,6 @@ class TwoDRanking:
             cheirank(g, alpha=alpha, tol=tol, max_iter=max_iter),
         )
 
-    @classmethod
-    def from_probabilities(cls, p, pstar) -> "TwoDRanking":
-        """Pair two nonnegative weight vectors, each divided by its total."""
-        vectors = [np.asarray(v, dtype=np.float64) for v in (p, pstar)]
-        if min(v.sum() for v in vectors) <= 0:
-            raise ValueError("cannot normalize a zero probability vector")
-        return cls(*(RankVector.from_probabilities(v / v.sum()) for v in vectors))
-
 
 def normalized_links(strength, at_tail, weight, alpha: float):
     """The damped operator's one normalization rule: (the value
@@ -178,22 +170,15 @@ def normalized_links(strength, at_tail, weight, alpha: float):
     return values, np.flatnonzero(strength == 0.0)
 
 
-def tail_strength(graph: DirectedGraph, reverse: bool = False):
+def tail_strength(graph: DirectedGraph):
     """(each column's strength, the strength of each link's tail in
-    ``graph``'s link order) for the operator of ``graph``, or of its
-    reversal with ``reverse``.  Every strength adds its links' weights in
-    link order, as ``np.bincount`` over the tails would."""
-    if not graph.weighted:  # integer sums, exact in any order
-        degree = graph.in_degree if reverse else graph.out_degree
-        strength = degree.astype(np.float64)
-    elif reverse:
-        strength = np.bincount(graph.dst, weights=graph.weight,
+    ``graph``'s link order) for PageRank's operator of ``graph``.  A
+    weighted strength adds its links' weights in link order."""
+    if graph.weighted:
+        strength = np.bincount(graph.src, weights=graph.weight,
                                minlength=graph.node_count + 1)[1:]
-    else:
-        # a CSR product with ones adds each row's values left to right
-        strength = _layout_matrix(graph, graph.weight) @ np.ones(graph.node_count)
-    if reverse:
-        return strength, graph.at_destination(strength)
+    else:  # integer sums, exact in any order
+        strength = graph.out_degree.astype(np.float64)
     return strength, graph.at_source(strength)
 
 
@@ -207,13 +192,6 @@ def _columns(graph: DirectedGraph) -> np.ndarray:
     return columns
 
 
-def _layout_matrix(graph: DirectedGraph, data) -> sp.csr_matrix:
-    """``data``, one value per link, as a CSR matrix on ``graph``'s layout:
-    row ``i - 1`` holds node ``i``'s out-links, in link order."""
-    n = graph.node_count
-    return sp.csr_matrix((data, _columns(graph), graph.indptr), shape=(n, n))
-
-
 def _has_parallel_links(graph: DirectedGraph) -> bool:
     """Whether two links share their source and destination.  Links are
     sorted by (src, dst), so such links are neighbours in one row."""
@@ -221,26 +199,6 @@ def _has_parallel_links(graph: DirectedGraph) -> bool:
     row_starts = graph.indptr[(graph.indptr > 0) & (graph.indptr < graph.link_count)]
     same[row_starts - 1] = False
     return bool(same.any())
-
-
-def _swapped_links(graph: DirectedGraph, swap: np.ndarray):
-    """``graph``'s links as (tail, head, weight), with 0-based tails and
-    heads, each link's tail and head swapped where ``swap`` holds.
-
-    The order keeps the operator equal bit for bit to that of the graph
-    the swapped links form, whose links are sorted by (tail, head,
-    weight).  An unweighted graph keeps its own link order, as its
-    strengths are exact integer sums and its duplicates are equal; a
-    weighted graph is sorted."""
-    src = graph.src
-    tail = np.where(swap, graph.dst, src)
-    head = np.where(swap, src, graph.dst)
-    tail -= 1
-    head -= 1
-    if not graph.weighted:
-        return tail, head, graph.weight
-    order = np.lexsort((graph.weight, head, tail))
-    return tail[order], head[order], graph.weight[order]
 
 
 def _unweighted_matrix(graph: DirectedGraph, alpha: float, swap):
@@ -301,19 +259,27 @@ def _unweighted_matrix(graph: DirectedGraph, alpha: float, swap):
 
 def _summed_matrix(graph: DirectedGraph, alpha: float, swap):
     """(matrix, dangling columns) of any graph, the links where ``swap``
-    holds inverted: each link valued by :func:`normalized_links`, and
-    parallel links summed as the graph the swapped links form sums them."""
-    n = graph.node_count
-    if np.ndim(swap) == 0:
-        data, dangling = normalized_links(*tail_strength(graph, swap), graph.weight, alpha)
-        matrix = _layout_matrix(graph, data)
-        if not swap:
-            matrix = matrix.T.tocsr()
-    else:
-        tail, head, weight = _swapped_links(graph, swap)
-        strength = np.bincount(tail, weights=weight, minlength=n)
-        data, dangling = normalized_links(strength, strength[tail], weight, alpha)
-        matrix = sp.csr_matrix((data, (head, tail)), shape=(n, n))
+    holds inverted: every link as (tail, head, weight), valued by
+    :func:`normalized_links`, and parallel links summed as the graph the
+    swapped links form sums them.  That graph's links are sorted by
+    (tail, head, weight).  Only a weighted graph under a mask is sorted to
+    match: under a bool the links are already in (tail, head, weight) or
+    (head, tail, weight) order, which adds each tail's and each entry's
+    links in the same order, and an unweighted graph's sums are exact
+    integers of equal duplicates."""
+    n, weight = graph.node_count, graph.weight
+    dst = _columns(graph)  # 0-based, as matrix indices
+    src = graph.at_source(np.arange(n, dtype=dst.dtype))
+    tail = np.where(swap, dst, src)
+    head = np.where(swap, src, dst)
+    del src, dst
+    if graph.weighted and np.ndim(swap):
+        order = np.lexsort((weight, head, tail))
+        tail, head, weight = tail[order], head[order], weight[order]
+        del order
+    strength = np.bincount(tail, weights=weight, minlength=n)
+    data, dangling = normalized_links(strength, strength[tail], weight, alpha)
+    matrix = sp.csr_matrix((data, (head, tail)), shape=(n, n))
     matrix.sum_duplicates()
     return matrix, dangling
 
@@ -329,18 +295,19 @@ class StochasticOperator:
     every link's tail and head or none, or a boolean array with one entry
     per link (in ``graph``'s link order), which swaps the links where it
     is True.  The result is exactly the operator of the graph with those
-    links inverted: ``reverse=True`` (CheiRank) that of
-    ``graph.reverse()``, ``reverse=False`` (PageRank) that of ``graph``.
+    links inverted: ``reverse=True`` (CheiRank) that of the link-reversed
+    graph, ``reverse=False`` (PageRank) that of ``graph``.
 
     - An unweighted graph without parallel links is built from its CSR
       layout with no sort: PageRank's matrix is scipy's counting
       transpose of the layout, CheiRank's is the layout as it stands, and
       a mask's is the sum of the two, each restricted to its links.
-    - A weighted graph, or one with parallel links, sums parallel links
-      with ``sum_duplicates`` in the order that the graph the swapped
-      links form would sum them.  A bool reverse also builds from the
-      layout; a mask materializes each link's tail and head, sorted by
-      (tail, head, weight) when weighted.
+    - Any other graph takes one summing recipe for a bool and a mask
+      alike: every link as (tail, head, weight), each valued by its
+      tail's strength, and parallel links summed with ``sum_duplicates``
+      in the order that the graph the swapped links form would sum them
+      (a weighted graph's links are sorted by (tail, head, weight) under
+      a mask).
     """
 
     def __init__(self, graph: DirectedGraph, alpha: float = DEFAULT_ALPHA, *,
@@ -400,8 +367,8 @@ def cheirank(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> RankVector:
-    """PageRank of the link-reversed graph, equal bit for bit to
-    ``pagerank(g.reverse())``, from ``g``'s own links."""
+    """PageRank of the link-reversed graph, equal bit for bit to the
+    ``pagerank`` of that graph, from ``g``'s own links."""
     return _power_iteration(g, alpha, tol, max_iter, reverse=True)
 
 
@@ -410,7 +377,7 @@ def _power_iteration(g: DirectedGraph, alpha, tol, max_iter,
     """The stationary vector of ``StochasticOperator(g, alpha, reverse=reverse)``."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN included
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")

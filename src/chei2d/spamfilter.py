@@ -194,7 +194,7 @@ def analytic_fraction(eta_k: float, a: float, nu: float) -> float:
         raise ValueError("a must be in (0, 1]")
     if not 0.0 <= nu < 1.0:
         raise ValueError("nu must be in [0, 1)")
-    if eta_k < 0:
+    if not eta_k >= 0:  # NaN included
         raise ValueError("eta_k must be >= 0")
     c = (1.0 - nu) / (2.0 - nu)
     x = a * eta_k

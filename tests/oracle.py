@@ -1,11 +1,20 @@
-"""Dense references for small graphs, an in-memory rank table and the
-row text of a data file, used only by the tests."""
+"""References used only by the tests: dense operators for small graphs,
+the link-reversed graph, rank vectors paired from raw weights, the text
+of an edge list and of a rank table in memory, and the row text of a
+data file."""
 
 import io
 
 import numpy as np
 
-from chei2d import DEFAULT_ALPHA, DirectedGraph, TwoDRanking, write_rank_table
+from chei2d import (
+    DEFAULT_ALPHA,
+    DirectedGraph,
+    RankVector,
+    TwoDRanking,
+    write_edge_list,
+    write_rank_table,
+)
 
 _DENSE_LIMIT = 2000
 
@@ -47,10 +56,42 @@ def dense_solve_oracle(g: DirectedGraph, alpha: float = DEFAULT_ALPHA) -> np.nda
     return p / p.sum()
 
 
+def reversed_graph(g: DirectedGraph) -> DirectedGraph:
+    """``g`` with every link direction flipped: an involution that swaps
+    the in- and out-degree vectors exactly."""
+    return DirectedGraph(g.node_count, g.dst, g.src, g.weight, weighted=g.weighted)
+
+
+def ranking_from_probabilities(p, pstar) -> TwoDRanking:
+    """Pair two nonnegative weight vectors, each divided by its total."""
+    vectors = [np.asarray(v, dtype=np.float64) for v in (p, pstar)]
+    if min(v.sum() for v in vectors) <= 0:
+        raise ValueError("cannot normalize a zero probability vector")
+    return TwoDRanking(*(RankVector.from_probabilities(v / v.sum()) for v in vectors))
+
+
+def serialize_edge_list(g: DirectedGraph) -> str:
+    """:func:`write_edge_list`'s text of ``g`` as a string."""
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    return buf.getvalue()
+
+
 def serialize_rank_table(ranking: TwoDRanking, params: dict | None = None) -> str:
     buf = io.StringIO()
     write_rank_table(ranking, buf, params=params)
     return buf.getvalue()
+
+
+def first_undecodable_line(path) -> int | None:
+    """The 1-based line of the first byte of ``path`` that is not UTF-8,
+    counted as a text-mode stream counts lines; None when every byte
+    decodes."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fp:
+        for lineno, line in enumerate(fp, 1):
+            if any("\udc80" <= c <= "\udcff" for c in line):
+                return lineno
+    return None
 
 
 def reference_rows(header_lines, *columns, sep: str = "\t") -> str:

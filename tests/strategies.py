@@ -3,7 +3,8 @@
 import hypothesis.strategies as st
 import numpy as np
 
-from chei2d import DirectedGraph, TwoDRanking
+from chei2d import DirectedGraph
+from oracle import ranking_from_probabilities
 
 
 @st.composite
@@ -51,4 +52,4 @@ def rankings(draw, min_n=2, max_n=16):
     n = draw(st.integers(min_n, max_n))
     p = draw(st.lists(st.floats(0.001, 1.0), min_size=n, max_size=n))
     ps = draw(st.lists(st.floats(0.001, 1.0), min_size=n, max_size=n))
-    return TwoDRanking.from_probabilities(np.asarray(p), np.asarray(ps))
+    return ranking_from_probabilities(np.asarray(p), np.asarray(ps))

@@ -62,6 +62,13 @@ def test_rank_nonconvergence_exits_2_with_outputs(chain_file, tmp_path):
     assert (out / "manifest.json").exists()
 
 
+def test_rank_nan_tolerance_is_error(chain_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("rank", chain_file, "--tol", "nan", "--out", out) == 1
+    assert "error: tol must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, output", [
     (["filter", "--eta", "10"], "filtered_ranks.tsv"),
     (["matrix"], "gmatrix_coarse.csv"),

@@ -187,6 +187,26 @@ CASES = {
             "0.3333333333333333,0.05000000000000001\n"
         ),
     }),
+    # Weighted strengths, the duplicate (1, 2) lines summed, and a self-loop.
+    "matrix-weighted": (["matrix", "{weighted}", "--weighted", "--cells", "2",
+                         "--raw-window", "3"], {
+        "gmatrix_coarse.csv": (
+            "# scale=linear\n"
+            "# cells=2\n"
+            "# normalization=2.9999999999999996\n"
+            "1.246153846153846,0.95\n"
+            "0.7538461538461538,0.05000000000000001\n"
+        ),
+        "gmatrix_coarse.json": (
+            "{\"cells\": 2, \"normalization\": 2.9999999999999996, \"scale\": \"linear\", \"values\": [[1.246153846153846, 0.95], [0.7538461538461538, 0.05000000000000001]]}\n"
+        ),
+        "gmatrix_raw.csv": (
+            "# raw_window=3\n"
+            "0.6681818181818182,0.24615384615384617,0.9\n"
+            "0.2818181818181818,0.05000000000000001,0.05000000000000001\n"
+            "0.05000000000000001,0.7038461538461539,0.05000000000000001\n"
+        ),
+    }),
     "twodrank": (["twodrank", "{ranks}", "--subset", "{subset}"], {
         "local_ranks.tsv": (
             "# columns: node_id k_local kstar_local\n"

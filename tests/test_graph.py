@@ -12,12 +12,12 @@ from chei2d import (
     EdgeListParseError,
     parse_edge_list,
     read_edge_list,
-    serialize_edge_list,
     synth_scale_free,
     write_edge_list,
 )
 from chei2d import graph as graph_module
 from chei2d._bulk import load_rows
+from oracle import first_undecodable_line, reversed_graph, serialize_edge_list
 from strategies import graphs, link_lines
 
 
@@ -117,28 +117,28 @@ def test_self_loops_kept_unless_dropped():
 
 
 def test_reverse_cycle(three_cycle):
-    assert three_cycle.reverse() == parse_edge_list("2 1\n3 2\n1 3\n")
+    assert reversed_graph(three_cycle) == parse_edge_list("2 1\n3 2\n1 3\n")
 
 
 def test_reverse_dangling_only_is_identity():
     g = parse_edge_list("N 4\n")
-    assert g.reverse() == g
+    assert reversed_graph(g) == g
 
 
 def test_reverse_chain_swaps_degrees(chain3):
-    r = chain3.reverse()
+    r = reversed_graph(chain3)
     assert np.array_equal(r.out_degree, chain3.in_degree)
     assert np.array_equal(r.in_degree, chain3.out_degree)
 
 
 @given(graphs())
 def test_reverse_is_involution(g):
-    assert g.reverse().reverse() == g
+    assert reversed_graph(reversed_graph(g)) == g
 
 
 @given(graphs(weighted=True))
 def test_reverse_swaps_degree_vectors(g):
-    r = g.reverse()
+    r = reversed_graph(g)
     assert np.array_equal(r.in_degree, g.out_degree)
     assert np.array_equal(r.out_degree, g.in_degree)
 
@@ -313,6 +313,9 @@ def test_synth_rejects_bad_parameters():
         synth_scale_free(5, 2.1, 2.7, seed=0)
     with pytest.raises(ValueError):
         synth_scale_free(100, 1.0, 2.7, seed=0)
+    for mu in ((float("nan"), 2.7), (2.1, float("nan"))):
+        with pytest.raises(ValueError, match="exponents must exceed 1"):
+            synth_scale_free(100, *mu, seed=0)
     with pytest.raises(ValueError):
         synth_scale_free(100, 2.1, 2.7, seed=0, links=0)
 
@@ -479,7 +482,8 @@ def test_read_edge_list_translates_crlf(tmp_path):
 
 def _read_text_mode(path, **kwargs):
     """read_edge_list as a text-mode stream reads the file: UTF-8 with
-    universal newlines."""
+    universal newlines.  (Where the stream fails to decode, read_edge_list
+    names the line instead.)"""
     with open(path, encoding="utf-8") as fp:
         return parse_edge_list(fp, **kwargs)
 
@@ -493,13 +497,20 @@ def _read_text_mode(path, **kwargs):
     b"# \xc3\x28 comment\n1 2\n2 3\n",
     b"1 2\n2 3\n# \xff\n",
     b"# caf\xc3\xa9\nN 3\n1 2\n",
+    b"N 4\r\n1 2\r\n2 \xff3\r\n",
+    b"# c\r1 2\r\n\r2 3\n3 \xc3\x28\n",
+    b"1 2\n\xf0\x9f\x98\n",
 ])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_read_edge_list_reads_as_text_mode(tmp_path, data, weighted):
     path = tmp_path / "edges.txt"
     path.write_bytes(data)
     bulk = _outcome(read_edge_list, path, weighted=weighted)
-    assert bulk == _outcome(_read_text_mode, path, weighted=weighted)
+    line = first_undecodable_line(path)
+    if line is None:
+        assert bulk == _outcome(_read_text_mode, path, weighted=weighted)
+    else:
+        assert bulk[0] is ValueError and bulk[1].startswith(f"line {line}: invalid UTF-8")
 
 
 def test_read_edge_list_lone_carriage_return_ends_a_line(tmp_path):
@@ -513,8 +524,8 @@ def test_read_edge_list_lone_carriage_return_ends_a_line(tmp_path):
 def test_read_edge_list_invalid_utf8_message(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_bytes(b"N 4\n1 2\n2 \xff3\n")
-    with pytest.raises(UnicodeDecodeError, match=(
-            "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte")):
+    with pytest.raises(ValueError, match=(
+            r"^line 3: invalid UTF-8, byte 0xff \(invalid start byte\)$")):
         read_edge_list(path)
 
 

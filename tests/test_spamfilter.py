@@ -24,6 +24,7 @@ from chei2d import (
 )
 from chei2d.spamfilter import MODES
 from conftest import bernoulli_graph, fixture_graphs
+from oracle import reversed_graph
 from strategies import graphs
 
 
@@ -42,7 +43,7 @@ def test_prob_filter_eta_inf_reverses_everything(three_cycle):
     p = pagerank(three_cycle)
     res = filter_links_by_prob(three_cycle, p, float("inf"))
     assert res.fraction == 1.0
-    assert res.graph == three_cycle.reverse()
+    assert res.graph == reversed_graph(three_cycle)
 
 
 def test_prob_filter_two_node_hand_case():
@@ -242,6 +243,8 @@ def test_analytic_fraction_domain_errors():
         analytic_fraction(1.0, 0.5, 1.0)
     with pytest.raises(ValueError):
         analytic_fraction(-0.5, 0.5, 0.0)
+    with pytest.raises(ValueError, match="eta_k must be >= 0"):
+        analytic_fraction(float("nan"), 1.0, 0.0)
 
 
 # -- Monte Carlo agreement ---------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given
 from chei2d import TwoDRanking, rank_order, read_rank_table, tableio
 from chei2d._bulk import load_rows
 from conftest import bernoulli_graph
-from oracle import serialize_rank_table
+from oracle import first_undecodable_line, serialize_rank_table
 
 
 def test_round_trip_is_bit_exact():
@@ -136,13 +136,15 @@ def test_row_edit_deep_in_body_matches_line_loop(edit, message):
 def _table_bytes_cases():
     text = serialize_rank_table(TwoDRanking.compute(bernoulli_graph(5, n=12)), {"alpha": 0.85})
     first = text.index("\n1 ") + 1
-    data = text.encode()
+    data, crlf = text.encode(), text.replace("\n", "\r\n").encode()
     return {
-        "crlf": text.replace("\n", "\r\n").encode(),
+        "crlf": crlf,
         "crlf header": (text[:first].replace("\n", "\r\n") + text[first:]).encode(),
         "lone cr in header": data.replace(b"# N=12\n", b"# N=12\r"),
         "lone cr in body": data.replace(b"\n3 ", b"\r3 "),
         "invalid utf-8 in body": data.replace(b"\n2 ", b"\n2\xff "),
+        "invalid utf-8 in crlf body": crlf.replace(b"\n7 ", b"\n7\xff "),
+        "invalid utf-8 in lone cr body": data.replace(b"\n", b"\r").replace(b"\r7 ", b"\r7\xff "),
         "invalid utf-8 in header": data.replace(b"# N=12", b"# N=\xe912"),
         "utf-8 comment": data.replace(b"# N=12\n", b"# N=12\n# caf\xc3\xa9\n"),
     }
@@ -164,13 +166,19 @@ def test_read_path_reads_as_text_mode(tmp_path, name):
         with open(path, encoding="utf-8") as fp:
             return read_rank_table(fp)
 
-    assert outcome(lambda: read_rank_table(path)) == outcome(text_mode)
+    line = first_undecodable_line(path)
+    if line is None:
+        assert outcome(lambda: read_rank_table(path)) == outcome(text_mode)
+    else:  # where the stream fails to decode, the path read names the line
+        with pytest.raises(ValueError, match=f"^line {line}: invalid UTF-8"):
+            read_rank_table(path)
 
 
 def test_read_invalid_utf8_message(tmp_path):
     path = tmp_path / "ranks.tsv"
     path.write_bytes(_table_bytes_cases()["invalid utf-8 in header"])
-    with pytest.raises(UnicodeDecodeError, match="can't decode byte 0xe9 in position 24"):
+    with pytest.raises(ValueError, match=(
+            r"^line 2: invalid UTF-8, byte 0xe9 \(invalid continuation byte\)$")):
         read_rank_table(path)
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from chei2d import TwoDRanking, local_rank, two_d_rank
+from oracle import ranking_from_probabilities
 from strategies import rankings
 
 
@@ -11,7 +12,7 @@ def ranking_from_indexes(k, kstar) -> TwoDRanking:
     k = np.asarray(k, dtype=np.float64)
     kstar = np.asarray(kstar, dtype=np.float64)
     n = k.size
-    return TwoDRanking.from_probabilities(n + 1 - k, n + 1 - kstar)
+    return ranking_from_probabilities(n + 1 - k, n + 1 - kstar)
 
 
 def test_top_corner_gets_rank_one():
