@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._bulk import write_rows
+from ._bulk import decode_file, write_rows
 from .flow import compute_flow, fixed_point_cell
 from .graph import read_edge_list, synth_scale_free, write_edge_list
 from .ranking import (
@@ -258,24 +258,29 @@ def cmd_matrix(args):
 
 def _read_subset(path, node_count: int) -> list[int]:
     """Node ids of a subset file, one per line; ``#`` comments and blank
-    lines are skipped.  Each id must lie in [1, node_count]."""
+    lines are skipped.  Each id must lie in [1, node_count].  The bytes
+    are decoded as the edge-list and rank-table readers decode theirs."""
+    try:
+        with open(path, "rb") as fp:
+            text = decode_file(fp.read())
+    except ValueError as exc:  # bytes that are not UTF-8
+        raise ValueError(f"subset {exc}") from None
     ids = []
-    with open(path, "r", encoding="utf-8") as fp:
-        for lineno, raw in enumerate(fp, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                node = int(line)
-            except ValueError:
-                raise ValueError(
-                    f"subset line {lineno}: node id must be an integer, got {line!r}"
-                ) from None
-            if not 1 <= node <= node_count:
-                raise ValueError(
-                    f"subset line {lineno}: node id {node} outside [1, {node_count}]"
-                )
-            ids.append(node)
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            node = int(line)
+        except ValueError:
+            raise ValueError(
+                f"subset line {lineno}: node id must be an integer, got {line!r}"
+            ) from None
+        if not 1 <= node <= node_count:
+            raise ValueError(
+                f"subset line {lineno}: node id {node} outside [1, {node_count}]"
+            )
+        ids.append(node)
     return ids
 
 

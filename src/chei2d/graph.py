@@ -1,11 +1,11 @@
 """Directed graphs over 1-based node ids.
 
-A graph is one CSR layout by source: ``indptr`` (N + 1 offsets), ``dst``
-and ``weight`` per link.  Link sources are derived from ``indptr`` when
-read and never stored, and an unweighted graph's unit weights are
-implicit.  Also here: edge-list ingestion with duplicate collapsing,
-byte-stable serialization and a seeded scale-free generator.  Graphs are
-immutable after construction and safe to share across threads.
+A graph is one CSR layout by source, in scipy's index dtype: ``indptr``
+(N + 1 offsets) and ``heads`` (0-based destinations), the indices of
+CheiRank's matrix as they stand.  Link sources and 1-based ``dst`` are
+derived on read, and unit weights are implicit.  Also here: edge-list
+ingestion with duplicate collapsing, byte-stable serialization and a
+seeded scale-free generator.  Graphs are immutable and thread-safe.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ __all__ = [
     "synth_scale_free",
 ]
 
-# Node ids and counts are stored as int64.
+# Node ids and counts are read as int64.
 _MAX_ID = int(np.iinfo(np.int64).max)
+_MAX_INT32 = int(np.iinfo(np.int32).max)
 # The link rows of the bulk edge-list parse: two integer ids, then a weight.
 _LINK_ROW = np.dtype([("src", np.int64), ("dst", np.int64)])
 _WEIGHTED_LINK_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
@@ -71,6 +72,13 @@ def _in_order(*keys: np.ndarray) -> bool:
     return True
 
 
+def _index_dtype(node_count: int, link_count: int) -> np.dtype:
+    """scipy's index dtype for an N x N matrix of ``link_count`` entries,
+    which it then takes as indices without a copy: int32, unless the node
+    or link count exceeds it."""
+    return np.dtype(np.int32 if max(node_count, link_count) <= _MAX_INT32 else np.int64)
+
+
 def _link_arrays(src, dst, weight):
     """(src, dst, weight) as one-dimensional int64, int64 and float64
     arrays of one length."""
@@ -89,12 +97,14 @@ class DirectedGraph:
     """A directed graph with nodes ``1 .. node_count``, stored as a CSR
     layout by source.
 
-    Links are kept sorted by (src, dst, weight).  ``dst`` and ``weight``
-    list them in that order, and node ``i``'s out-links are the slice
-    ``indptr[i - 1]:indptr[i]``.  ``src`` is derived from ``indptr`` on
-    every read and never stored.  An unweighted graph's unit weights are
-    implicit: ``weight`` is a read-only view of a single 1.0.  So a graph
-    holds 8 bytes per link (16 when weighted) plus 8 per node.
+    Links are kept sorted by (src, dst, weight).  ``heads`` (each link's
+    0-based destination) and ``weight`` list them in that order, and node
+    ``i``'s out-links are the slice ``indptr[i - 1]:indptr[i]``; both
+    index arrays are int32 unless a count needs int64.  ``src`` and the
+    1-based int64 ``dst`` are derived on every read and never stored.
+    An unweighted graph's unit weights are implicit: ``weight`` is a
+    read-only view of a single 1.0.  So a graph holds 4 bytes per link
+    (12 when weighted) plus 4 per node, twice that with int64 indices.
 
     The constructor takes links as (src, dst, weight) arrays in any order.
     Graphs built through :func:`parse_edge_list` or :meth:`from_links`
@@ -109,27 +119,27 @@ class DirectedGraph:
 
     node_count: int
     indptr: np.ndarray
-    dst: np.ndarray
+    heads: np.ndarray
     weight: np.ndarray
     weighted: bool = False
     collapsed_duplicates: int = 0
 
     def __init__(self, node_count: int, src, dst, weight, weighted: bool = False):
         src, dst, weight = _link_arrays(src, dst, weight)
-        if _in_order(src, dst, weight):
-            # Copy as the sort would have: a graph never shares (and then
-            # freezes) arrays its caller still holds.
-            dst, weight = dst.copy(), weight.copy() if weighted else weight
-        else:
+        if not _in_order(src, dst, weight):
             order = np.lexsort((weight, dst, src))
             src, dst = src[order], dst[order]
             weight = weight[order] if weighted else weight
+        elif weighted:
+            # Copy as the sort would have: a graph never shares (and then
+            # freezes) arrays its caller still holds.
+            weight = weight.copy()
         self._store(node_count, src, dst, weight, weighted, 0)
 
     def _store(self, node_count, src, dst, weight, weighted, collapsed_duplicates):
         """Check links sorted by source and keep them as the layout.
-        ``dst`` and a weighted graph's ``weight`` become the graph's own;
-        ``weight`` None stands for unit weights."""
+        ``heads``, cast from ``dst``, and a weighted graph's ``weight``
+        become the graph's own; ``weight`` None stands for unit weights."""
         if node_count < 1:
             raise ValueError("node_count must be a positive integer")
         if src.size:
@@ -140,9 +150,10 @@ class DirectedGraph:
                     raise ValueError("link weights must be positive and finite")
                 if not weighted and np.any(weight != 1.0):
                     raise ValueError("every link of an unweighted graph must have weight 1")
+        dtype = _index_dtype(node_count, src.size)
         # Allocated before anything else N-long, so that a node count
         # beyond memory fails here.
-        indptr = np.zeros(node_count + 1, dtype=np.int64)
+        indptr = np.zeros(node_count + 1, dtype=dtype)
         if src.size:
             # src is sorted, so node i's links end after the last link whose
             # source is i or lower; read in place, src may be a strided view.
@@ -150,9 +161,11 @@ class DirectedGraph:
             indptr[src[ends]] = ends + 1
             indptr[src[-1]] = src.size
             np.maximum.accumulate(indptr, out=indptr)
+        heads = dst.astype(dtype)  # a copy, whatever the dtype
+        heads -= 1
         if not weighted:
-            weight = np.broadcast_to(1.0, dst.shape)
-        for name, value in (("node_count", node_count), ("indptr", indptr), ("dst", dst),
+            weight = np.broadcast_to(1.0, heads.shape)
+        for name, value in (("node_count", node_count), ("indptr", indptr), ("heads", heads),
                             ("weight", weight), ("weighted", weighted),
                             ("collapsed_duplicates", collapsed_duplicates)):
             object.__setattr__(self, name, value)
@@ -160,14 +173,14 @@ class DirectedGraph:
 
     def __post_init__(self):
         """Freeze the layout; runs once for every graph built."""
-        for arr in (self.indptr, self.dst, self.weight):
+        for arr in (self.indptr, self.heads, self.weight):
             arr.setflags(write=False)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def link_count(self) -> int:
-        return int(self.dst.size)
+        return int(self.heads.size)
 
     @property
     def src(self) -> np.ndarray:
@@ -176,6 +189,15 @@ class DirectedGraph:
         src.setflags(write=False)
         return src
 
+    @property
+    def dst(self) -> np.ndarray:
+        """Each link's 1-based destination as int64, derived from
+        ``heads`` on every read."""
+        dst = self.heads.astype(np.int64)
+        dst += 1
+        dst.setflags(write=False)
+        return dst
+
     def at_source(self, values) -> np.ndarray:
         """``values[src - 1]``, one entry per link from ``values`` (one
         per node) taken at the link's source, without building ``src``."""
@@ -183,24 +205,22 @@ class DirectedGraph:
 
     def at_destination(self, values) -> np.ndarray:
         """``values[dst - 1]``, one entry per link from ``values`` (one per
-        node) taken at the link's destination, with no int64 copy of
-        ``dst``: a copy of ``values`` with one leading entry is indexed by
-        ``dst`` as it stands.  (``np.take`` would copy the read-only
-        ``dst``.)"""
-        values = np.asarray(values)
-        return np.concatenate((values[:1], values))[self.dst]
+        node) taken at the link's destination: ``values`` indexed by
+        ``heads`` as they stand."""
+        return np.asarray(values)[self.heads]
 
     @cached_property
     def out_degree(self) -> np.ndarray:
-        """Outgoing link count per node (index 0 holds node 1)."""
-        deg = np.diff(self.indptr)
+        """Outgoing link count per node (index 0 holds node 1), int64 as
+        ``in_degree`` is, whatever the dtype of ``indptr``."""
+        deg = np.diff(self.indptr).astype(np.int64)
         deg.setflags(write=False)
         return deg
 
     @cached_property
     def in_degree(self) -> np.ndarray:
         """Incoming link count per node (index 0 holds node 1)."""
-        deg = np.bincount(self.dst, minlength=self.node_count + 1)[1:]
+        deg = np.bincount(self.heads, minlength=self.node_count)
         deg.setflags(write=False)
         return deg
 
@@ -211,7 +231,7 @@ class DirectedGraph:
             self.node_count == other.node_count
             and self.weighted == other.weighted
             and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.dst, other.dst)
+            and np.array_equal(self.heads, other.heads)
             and np.array_equal(self.weight, other.weight)
         )
 
@@ -252,11 +272,8 @@ class DirectedGraph:
             src, dst = src[first], dst[first]
             if weighted:
                 weight = np.add.reduceat(weight, first)
-        elif in_order:
-            # the copies a sort or a merge would have made
-            dst = dst.copy()
-            if weighted:
-                weight = weight.copy()
+        elif in_order and weighted:
+            weight = weight.copy()  # the copy a sort or a merge would have made
         graph = cls.__new__(cls)
         graph._store(node_count, src, dst, weight if weighted else None, weighted, collapsed)
         return graph

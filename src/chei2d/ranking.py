@@ -182,20 +182,10 @@ def tail_strength(graph: DirectedGraph):
     return strength, graph.at_source(strength)
 
 
-def _columns(graph: DirectedGraph) -> np.ndarray:
-    """Each link's 0-based destination as a matrix index, with no int64
-    copy of ``dst``: int32, as scipy stores the indices of a matrix of
-    ``graph``'s size, unless its node or link count needs int64."""
-    fits = max(graph.node_count, graph.link_count) <= np.iinfo(np.int32).max
-    columns = graph.dst.astype(np.int32 if fits else np.int64)
-    columns -= 1
-    return columns
-
-
 def _has_parallel_links(graph: DirectedGraph) -> bool:
     """Whether two links share their source and destination.  Links are
     sorted by (src, dst), so such links are neighbours in one row."""
-    same = graph.dst[1:] == graph.dst[:-1]
+    same = graph.heads[1:] == graph.heads[:-1]
     row_starts = graph.indptr[(graph.indptr > 0) & (graph.indptr < graph.link_count)]
     same[row_starts - 1] = False
     return bool(same.any())
@@ -208,26 +198,25 @@ def _unweighted_matrix(graph: DirectedGraph, alpha: float, swap):
     The kept links give PageRank's structure: the counting transpose of
     the layout restricted to them, whose rows list their tails in
     ascending order.  The swapped links give CheiRank's: the layout
-    restricted to them, as it stands.  Both are canonical CSR with a link
-    count per entry, and their sum counts at most two links an entry, a
-    kept ``u -> v`` and a swapped ``v -> u``.  Each entry is then valued
-    ``alpha / s`` of its tail column, as :func:`normalized_links` values a
-    unit weight, times its count; ``x * 2 == x + x``, so the values equal
-    the summed links' bit for bit."""
-    n = graph.node_count
-    columns = _columns(graph)
+    restricted to them, as it stands (with every link swapped, the
+    graph's own ``heads`` and ``indptr``).  Both are canonical CSR with a
+    link count per entry, and their sum counts at most two links an
+    entry, a kept ``u -> v`` and a swapped ``v -> u``.  Each entry is then
+    valued ``alpha / s`` of its tail column, as :func:`normalized_links`
+    values a unit weight, times its count; ``x * 2 == x + x``, so the
+    values equal the summed links' bit for bit."""
+    n, heads = graph.node_count, graph.heads
     if np.ndim(swap):
         # the swapped links before each row start
-        running = np.zeros(graph.link_count + 1, dtype=columns.dtype)
+        running = np.zeros(graph.link_count + 1, dtype=heads.dtype)
         np.cumsum(swap, out=running[1:])
         swapped_ptr = running[graph.indptr]
         del running
-        kept_columns, swapped_columns = columns[~swap], columns[swap]
+        kept_columns, swapped_columns = heads[~swap], heads[swap]
     else:
-        none = np.empty(0, dtype=columns.dtype)
+        none = np.empty(0, dtype=heads.dtype)
         swapped_ptr, kept_columns, swapped_columns = (
-            (graph.indptr, none, columns) if swap else (0, columns, none))
-    del columns
+            (graph.indptr, none, heads) if swap else (0, heads, none))
     kept_ptr = graph.indptr - swapped_ptr
 
     # Each array is dropped once used: together they set the build's peak.
@@ -267,12 +256,11 @@ def _summed_matrix(graph: DirectedGraph, alpha: float, swap):
     (head, tail, weight) order, which adds each tail's and each entry's
     links in the same order, and an unweighted graph's sums are exact
     integers of equal duplicates."""
-    n, weight = graph.node_count, graph.weight
-    dst = _columns(graph)  # 0-based, as matrix indices
+    n, weight, dst = graph.node_count, graph.weight, graph.heads
     src = graph.at_source(np.arange(n, dtype=dst.dtype))
     tail = np.where(swap, dst, src)
     head = np.where(swap, src, dst)
-    del src, dst
+    del src
     if graph.weighted and np.ndim(swap):
         order = np.lexsort((weight, head, tail))
         tail, head, weight = tail[order], head[order], weight[order]
@@ -300,8 +288,10 @@ class StochasticOperator:
 
     - An unweighted graph without parallel links is built from its CSR
       layout with no sort: PageRank's matrix is scipy's counting
-      transpose of the layout, CheiRank's is the layout as it stands, and
-      a mask's is the sum of the two, each restricted to its links.
+      transpose of the layout, CheiRank's is the layout as it stands (it
+      shares the graph's ``heads`` and ``indptr`` and adds only a value
+      per link), and a mask's is the sum of the two, each restricted to
+      its links.
     - Any other graph takes one summing recipe for a bool and a mask
       alike: every link as (tail, head, weight), each valued by its
       tail's strength, and parallel links summed with ``sum_duplicates``

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -77,15 +76,11 @@ class FilterConfig:
 class FilterResult:
     """Outcome of one filtering pass: the source graph and a read-only
     boolean ``mask``, one entry per link of ``source`` in its link order,
-    True where the link is inverted.
-
-    ``graph``, the filtered graph, is built from them on first access.
-    It has the same node count and exactly the same link count as the
-    source: every link is either kept or reversed, never dropped or
-    duplicated.  ``fraction`` is inverted_count / link_count (0 for an
-    empty graph).  ``cheirank`` and ``pagerank`` (the PageRank of the
-    unfiltered graph that chose the inversions) are populated only by
-    :func:`filtered_cheirank`.
+    True where the link is inverted: every link is either kept or
+    reversed, never dropped or duplicated.  ``fraction`` is
+    inverted_count / link_count (0 for an empty graph).  ``cheirank``
+    and ``pagerank`` (the PageRank of the unfiltered graph that chose the
+    inversions) are populated only by :func:`filtered_cheirank`.
     """
 
     source: DirectedGraph
@@ -101,14 +96,6 @@ class FilterResult:
     def fraction(self) -> float:
         links = self.source.link_count
         return self.inverted_count / links if links else 0.0
-
-    @cached_property
-    def graph(self) -> DirectedGraph:
-        g, mask, src = self.source, self.mask, self.source.src
-        return DirectedGraph.from_links(
-            g.node_count, np.where(mask, g.dst, src), np.where(mask, src, g.dst),
-            g.weight, weighted=g.weighted, collapse=False,
-        )
 
 
 def _inversion_mask(at_src: np.ndarray, at_dst: np.ndarray, eta: float, mode: str) -> np.ndarray:

@@ -1,7 +1,7 @@
 """References used only by the tests: dense operators for small graphs,
-the link-reversed graph, rank vectors paired from raw weights, the text
-of an edge list and of a rank table in memory, and the row text of a
-data file."""
+the link-reversed graph, the graph a filter's mask describes, rank
+vectors paired from raw weights, the text of an edge list and of a rank
+table in memory, and the row text of a data file."""
 
 import io
 
@@ -60,6 +60,18 @@ def reversed_graph(g: DirectedGraph) -> DirectedGraph:
     """``g`` with every link direction flipped: an involution that swaps
     the in- and out-degree vectors exactly."""
     return DirectedGraph(g.node_count, g.dst, g.src, g.weight, weighted=g.weighted)
+
+
+def filtered_graph(result) -> DirectedGraph:
+    """The graph of a :class:`chei2d.FilterResult`: its source's links,
+    each one reversed where the mask holds.  It has the source's node and
+    link counts."""
+    g, mask = result.source, result.mask
+    src, dst = g.src, g.dst
+    return DirectedGraph.from_links(
+        g.node_count, np.where(mask, dst, src), np.where(mask, src, dst),
+        g.weight, weighted=g.weighted, collapse=False,
+    )
 
 
 def ranking_from_probabilities(p, pstar) -> TwoDRanking:

@@ -286,6 +286,22 @@ def test_twodrank_bad_subset_is_line_numbered_error(cycle_file, tmp_path, capsys
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"1\n2\n\xff3\n", "subset line 3: invalid UTF-8, byte 0xff (invalid start byte)"),
+    (b"1\r\n2\r\xff3\n", "subset line 3: invalid UTF-8, byte 0xff (invalid start byte)"),
+    (b"1\r2\r\nx\n", "subset line 3: node id must be an integer, got 'x'"),
+])
+def test_twodrank_subset_is_decoded_as_edge_lists_are(cycle_file, tmp_path, capsys,
+                                                      data, message):
+    ranks = tmp_path / "r"
+    subset = tmp_path / "subset.txt"
+    subset.write_bytes(data)
+    assert run("rank", cycle_file, "--out", ranks) == 0
+    assert run("twodrank", ranks / "ranks.tsv", "--subset", subset,
+               "--out", tmp_path / "t") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_synth_command_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run("synth", "--nodes", "50", "--seed", "3", "--out", a) == 0

@@ -17,7 +17,12 @@ from chei2d import (
 )
 from chei2d import graph as graph_module
 from chei2d._bulk import load_rows
-from oracle import first_undecodable_line, reversed_graph, serialize_edge_list
+from oracle import (
+    first_undecodable_line,
+    reference_rows,
+    reversed_graph,
+    serialize_edge_list,
+)
 from strategies import graphs, link_lines
 
 
@@ -224,6 +229,39 @@ def test_unweighted_graph_holds_eight_bytes_per_link():
     assert not g.weight.flags.writeable
 
 
+def test_unweighted_graph_holds_four_bytes_per_link():
+    rng = np.random.default_rng(0)
+    n, links = 20_000, 200_000
+    src, dst = rng.integers(1, n + 1, links), rng.integers(1, n + 1, links)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = DirectedGraph.from_links(n, src, dst)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # int32 heads and indptr
+    assert retained <= 4 * g.link_count + 4 * (n + 1) + 16_384
+
+
+@pytest.mark.parametrize("count, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+def test_index_dtype_is_int32_while_both_counts_fit(count, dtype):
+    assert graph_module._index_dtype(count, 0) == dtype
+    assert graph_module._index_dtype(1, count) == dtype
+
+
+def test_dst_is_derived_one_based_int64_and_read_only():
+    g = DirectedGraph.from_links(6, [4, 2, 4, 2], [1, 6, 6, 1])
+    assert g.heads.dtype == g.indptr.dtype == np.int32
+    assert g.heads.tolist() == [0, 5, 0, 5]
+    assert g.out_degree.dtype == g.in_degree.dtype == np.int64
+    dst = g.dst
+    assert dst.dtype == np.int64 and dst.tolist() == [1, 6, 1, 6]
+    assert not np.shares_memory(dst, g.heads)
+    with pytest.raises(ValueError, match="read-only"):
+        dst[0] = 2
+
+
 _DTYPES = [np.int64, np.int32, np.uint8, np.float64, np.float32, bool, np.complex128, "S3",
            object]
 
@@ -277,17 +315,24 @@ def test_serialize_sorted_by_source_then_destination():
     assert serialize_edge_list(g) == "N 5\n1 2\n1 5\n3 1\n"
 
 
+def _edge_list_text(g: DirectedGraph) -> str:
+    """The edge-list format by the first recipe: the header, then one
+    ``src dst [weight]`` row per link in link order."""
+    columns = (g.src, g.dst, g.weight) if g.weighted else (g.src, g.dst)
+    return f"N {g.node_count}\n" + reference_rows([], *columns, sep=" ")
+
+
 @given(graphs(weighted=True) | graphs())
 def test_write_edge_list_writes_serialized_text(g):
     buf = io.StringIO()
     write_edge_list(g, buf)
-    assert buf.getvalue() == serialize_edge_list(g)
+    assert buf.getvalue() == _edge_list_text(g)
 
 
 def test_write_edge_list_to_path(tmp_path):
     g = synth_scale_free(200, 2.1, 2.7, 3, links=1_000)
     write_edge_list(g, tmp_path / "edges.txt")
-    assert (tmp_path / "edges.txt").read_bytes() == serialize_edge_list(g).encode()
+    assert (tmp_path / "edges.txt").read_bytes() == _edge_list_text(g).encode()
 
 
 def test_degree_sum_matches_link_count():

@@ -239,6 +239,13 @@ def test_unweighted_operator_sorts_nothing(monkeypatch):
         _assert_same_operator(op, reference)
 
 
+def test_cheirank_matrix_shares_the_graph_layout():
+    g = bernoulli_graph(5, n=80, density=0.1)
+    matrix = StochasticOperator(g, reverse=True).matrix
+    assert np.shares_memory(matrix.indices, g.heads)
+    assert np.shares_memory(matrix.indptr, g.indptr)
+
+
 def test_swap_mask_must_be_one_bool_per_link(three_cycle):
     for bad in (np.ones(2, dtype=bool), np.ones((3, 1), dtype=bool), [1, 0, 1]):
         with pytest.raises(ValueError, match="one bool per link"):

@@ -24,7 +24,7 @@ from chei2d import (
 )
 from chei2d.spamfilter import MODES
 from conftest import bernoulli_graph, fixture_graphs
-from oracle import reversed_graph
+from oracle import filtered_graph, reversed_graph
 from strategies import graphs
 
 
@@ -36,14 +36,14 @@ def test_prob_filter_eta_zero_inverts_nothing(three_cycle):
     res = filter_links_by_prob(three_cycle, p, 0.0)
     assert res.fraction == 0.0
     assert res.inverted_count == 0
-    assert res.graph == three_cycle
+    assert filtered_graph(res) == three_cycle
 
 
 def test_prob_filter_eta_inf_reverses_everything(three_cycle):
     p = pagerank(three_cycle)
     res = filter_links_by_prob(three_cycle, p, float("inf"))
     assert res.fraction == 1.0
-    assert res.graph == reversed_graph(three_cycle)
+    assert filtered_graph(res) == reversed_graph(three_cycle)
 
 
 def test_prob_filter_two_node_hand_case():
@@ -52,7 +52,7 @@ def test_prob_filter_two_node_hand_case():
     res = filter_links_by_prob(g, p, 0.5)
     # 0.5 * 0.6 = 0.3 < 0.4: the link stays
     assert res.fraction == 0.0
-    assert res.graph == g
+    assert filtered_graph(res) == g
     res2 = filter_links_by_prob(g, p, 0.8)
     # 0.8 * 0.6 = 0.48 > 0.4: inverted
     assert res2.fraction == 1.0
@@ -65,7 +65,7 @@ def test_rank_filter_thresholds():
     # K(src)=3 < 0.5 * K(dst)=5: inverted
     res = filter_links_by_rank(g, k, 0.5)
     assert res.fraction == 1.0
-    assert res.graph == parse_edge_list("N 10\n10 3\n")
+    assert filtered_graph(res) == parse_edge_list("N 10\n10 3\n")
     # large eta_k inverts every link
     assert filter_links_by_rank(g, k, 11.0).fraction == 1.0
 
@@ -80,8 +80,8 @@ def test_rank_filter_strict_inequality_keeps_ties():
 def test_filter_conserves_link_count(g, eta):
     p = pagerank(g, tol=1e-8, max_iter=200)
     res = filter_links_by_prob(g, p, eta)
-    assert res.graph.link_count == g.link_count
-    assert res.graph.node_count == g.node_count
+    assert filtered_graph(res).link_count == g.link_count
+    assert filtered_graph(res).node_count == g.node_count
     assert res.fraction == (res.inverted_count / g.link_count if g.link_count else 0.0)
 
 
@@ -164,8 +164,8 @@ def test_filtered_cheirank_builds_no_graph(monkeypatch):
     res = filtered_cheirank(g, FilterConfig(eta=1.0))
     assert constructions == []
     assert 0 < res.inverted_count < g.link_count
-    filtered = res.graph
-    assert len(constructions) == 1 and res.graph is filtered
+    filtered = filtered_graph(res)
+    assert len(constructions) == 1
     mask = res.mask
     assert filtered == DirectedGraph.from_links(
         g.node_count, np.where(mask, g.dst, g.src), np.where(mask, g.src, g.dst), g.weight,
@@ -177,7 +177,7 @@ def test_filtered_cheirank_builds_no_graph(monkeypatch):
 def test_filtered_cheirank_rank_mode_runs(three_cycle):
     res = filtered_cheirank(three_cycle, FilterConfig(mode="rank", eta=0.5))
     assert res.cheirank is not None
-    assert res.graph.link_count == three_cycle.link_count
+    assert filtered_graph(res).link_count == three_cycle.link_count
 
 
 def test_filter_config_validation():
