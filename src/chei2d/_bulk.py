@@ -111,10 +111,10 @@ def leading_block_end(data: bytes, is_head) -> int:
     return pos
 
 
-def load_rows(data: bytes | str, start: int, symbols: bytes,
+def load_rows(data: bytes, start: int, symbols: bytes,
               dtype: np.dtype) -> np.ndarray | None:
     """One ``dtype`` record per non-blank line of ``data`` from offset
-    ``start`` on, or None.  A str is read as its UTF-8 bytes.
+    ``start`` on, or None.
 
     None when the body is empty, holds a byte other than ASCII digits,
     space, tab, newline and ``symbols``, or when numpy rejects it: a
@@ -125,8 +125,6 @@ def load_rows(data: bytes | str, start: int, symbols: bytes,
     a string does not split on.  The body is checked in chunks and parsed
     from a stream over ``data``; neither copies it whole.
     """
-    if isinstance(data, str):
-        data = encode_text(data)
     if start >= len(data):
         return None
     allowed = _DIGITS_AND_WHITESPACE + symbols

@@ -3,9 +3,11 @@
 A graph is one CSR layout by source, in scipy's index dtype: ``indptr``
 (N + 1 offsets) and ``heads`` (0-based destinations), the indices of
 CheiRank's matrix as they stand.  Link sources and 1-based ``dst`` are
-derived on read, and unit weights are implicit.  Also here: edge-list
-ingestion with duplicate collapsing, byte-stable serialization and a
-seeded scale-free generator.  Graphs are immutable and thread-safe.
+derived on read, and unit weights are implicit.  Every graph is built
+by :meth:`DirectedGraph.from_links`, the one place that sorts, collapses
+and checks links.  Also here: edge-list ingestion, byte-stable
+serialization and a seeded scale-free generator.  Graphs are immutable
+and thread-safe.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import IO
 import numpy as np
 
 from ._bulk import (
+    _CHUNK_ROWS,
     decode_file,
     decode_text,
     encode_text,
@@ -79,19 +82,6 @@ def _index_dtype(node_count: int, link_count: int) -> np.dtype:
     return np.dtype(np.int32 if max(node_count, link_count) <= _MAX_INT32 else np.int64)
 
 
-def _link_arrays(src, dst, weight):
-    """(src, dst, weight) as one-dimensional int64, int64 and float64
-    arrays of one length."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    weight = np.asarray(weight, dtype=np.float64)
-    if not (src.ndim == dst.ndim == weight.ndim == 1):
-        raise ValueError("link arrays must be one-dimensional")
-    if not (src.size == dst.size == weight.size):
-        raise ValueError("link arrays must have equal length")
-    return src, dst, weight
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class DirectedGraph:
     """A directed graph with nodes ``1 .. node_count``, stored as a CSR
@@ -106,12 +96,16 @@ class DirectedGraph:
     read-only view of a single 1.0.  So a graph holds 4 bytes per link
     (12 when weighted) plus 4 per node, twice that with int64 indices.
 
-    The constructor takes links as (src, dst, weight) arrays in any order.
-    Graphs built through :func:`parse_edge_list` or :meth:`from_links`
-    have duplicate (src, dst) pairs collapsed (binary adjacency; weights
-    summed in weighted mode).  Graphs assembled directly from arrays, e.g.
-    the link-inversion filter's, may carry parallel links; each one then
-    counts separately toward degrees and column normalization.
+    :meth:`from_links` is the only constructor; calling the class
+    raises TypeError.  It takes links as (src, dst, weight) arrays in any
+    order and sorts them by (src, dst), and a weighted graph's parallel
+    links kept by ``collapse=False`` by weight as well.  An unweighted
+    graph drops any weights it is given.  By default duplicate (src, dst)
+    pairs collapse (binary adjacency; weights summed in the order given
+    in weighted mode), as every reader and the generator build them.  A
+    graph built with ``collapse=False``, e.g. the link-inversion filter's,
+    may carry parallel links; each one then counts separately toward
+    degrees and column normalization.
 
     Self-loops are legal and kept by default.  Node ids never appearing
     in a link are valid dangling nodes.
@@ -121,55 +115,8 @@ class DirectedGraph:
     indptr: np.ndarray
     heads: np.ndarray
     weight: np.ndarray
-    weighted: bool = False
-    collapsed_duplicates: int = 0
-
-    def __init__(self, node_count: int, src, dst, weight, weighted: bool = False):
-        src, dst, weight = _link_arrays(src, dst, weight)
-        if not _in_order(src, dst, weight):
-            order = np.lexsort((weight, dst, src))
-            src, dst = src[order], dst[order]
-            weight = weight[order] if weighted else weight
-        elif weighted:
-            # Copy as the sort would have: a graph never shares (and then
-            # freezes) arrays its caller still holds.
-            weight = weight.copy()
-        self._store(node_count, src, dst, weight, weighted, 0)
-
-    def _store(self, node_count, src, dst, weight, weighted, collapsed_duplicates):
-        """Check links sorted by source and keep them as the layout.
-        ``heads``, cast from ``dst``, and a weighted graph's ``weight``
-        become the graph's own; ``weight`` None stands for unit weights."""
-        if node_count < 1:
-            raise ValueError("node_count must be a positive integer")
-        if src.size:
-            if min(src[0], dst.min()) < 1 or max(src[-1], dst.max()) > node_count:
-                raise ValueError("link endpoint outside [1, node_count]")
-            if weight is not None:
-                if not np.all(np.isfinite(weight)) or np.any(weight <= 0):
-                    raise ValueError("link weights must be positive and finite")
-                if not weighted and np.any(weight != 1.0):
-                    raise ValueError("every link of an unweighted graph must have weight 1")
-        dtype = _index_dtype(node_count, src.size)
-        # Allocated before anything else N-long, so that a node count
-        # beyond memory fails here.
-        indptr = np.zeros(node_count + 1, dtype=dtype)
-        if src.size:
-            # src is sorted, so node i's links end after the last link whose
-            # source is i or lower; read in place, src may be a strided view.
-            ends = np.flatnonzero(src[1:] != src[:-1])
-            indptr[src[ends]] = ends + 1
-            indptr[src[-1]] = src.size
-            np.maximum.accumulate(indptr, out=indptr)
-        heads = dst.astype(dtype)  # a copy, whatever the dtype
-        heads -= 1
-        if not weighted:
-            weight = np.broadcast_to(1.0, heads.shape)
-        for name, value in (("node_count", node_count), ("indptr", indptr), ("heads", heads),
-                            ("weight", weight), ("weighted", weighted),
-                            ("collapsed_duplicates", collapsed_duplicates)):
-            object.__setattr__(self, name, value)
-        self.__post_init__()
+    weighted: bool
+    collapsed_duplicates: int
 
     def __post_init__(self):
         """Freeze the layout; runs once for every graph built."""
@@ -248,34 +195,69 @@ class DirectedGraph:
         weighted: bool = False,
         collapse: bool = True,
     ) -> "DirectedGraph":
-        """Build a graph from link arrays.
+        """Build a graph from link arrays in any order.
 
-        Without ``weighted`` every weight is 1.  With ``collapse`` (the
-        ingestion default) duplicate (src, dst) pairs merge into one link,
-        weights summed.  ``collapse=False`` keeps the multiset.
+        Without ``weighted`` every weight is 1, whatever ``weight`` holds.
+        With ``collapse`` (the ingestion default) duplicate (src, dst)
+        pairs merge into one link, weights summed in the order given.
+        ``collapse=False`` keeps the multiset, a weighted graph's parallel
+        links sorted by weight.
         """
         if weight is None or not weighted:
             weight = np.broadcast_to(1.0, (np.size(src),))
-        src, dst, weight = _link_arrays(src, dst, weight)
-        if not collapse or not src.size:
-            return cls(node_count, src, dst, weight, weighted=weighted)
-        in_order = _in_order(src, dst)
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        weight = np.asarray(weight, dtype=np.float64)
+        if not (src.ndim == dst.ndim == weight.ndim == 1):
+            raise ValueError("link arrays must be one-dimensional")
+        if not (src.size == dst.size == weight.size):
+            raise ValueError("link arrays must have equal length")
+        keys = (src, dst, weight) if weighted and not collapse else (src, dst)
+        in_order = _in_order(*keys)
         if not in_order:
-            order = np.lexsort((dst, src))
+            order = np.lexsort(keys[::-1])
             src, dst = src[order], dst[order]
             if weighted:
                 weight = weight[order]
-        starts = np.concatenate(([True], (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])))
-        collapsed = int(src.size - np.count_nonzero(starts))
-        if collapsed:
-            first = np.flatnonzero(starts)
-            src, dst = src[first], dst[first]
-            if weighted:
-                weight = np.add.reduceat(weight, first)
-        elif in_order and weighted:
+        collapsed = 0
+        if collapse and src.size:
+            starts = np.concatenate(([True], (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])))
+            collapsed = int(src.size - np.count_nonzero(starts))
+            if collapsed:
+                first = np.flatnonzero(starts)
+                src, dst = src[first], dst[first]
+                if weighted:
+                    weight = np.add.reduceat(weight, first)
+        if weighted and in_order and not collapsed:
             weight = weight.copy()  # the copy a sort or a merge would have made
+        if node_count < 1:
+            raise ValueError("node_count must be a positive integer")
+        if src.size:
+            if min(src[0], dst.min()) < 1 or max(src[-1], dst.max()) > node_count:
+                raise ValueError("link endpoint outside [1, node_count]")
+            if weighted and (not np.all(np.isfinite(weight)) or np.any(weight <= 0)):
+                raise ValueError("link weights must be positive and finite")
+        dtype = _index_dtype(node_count, src.size)
+        # Allocated before anything else N-long, so that a node count
+        # beyond memory fails here.
+        indptr = np.zeros(node_count + 1, dtype=dtype)
+        if src.size:
+            # src is sorted, so node i's links end after the last link whose
+            # source is i or lower; read in place, src may be a strided view.
+            ends = np.flatnonzero(src[1:] != src[:-1])
+            indptr[src[ends]] = ends + 1
+            indptr[src[-1]] = src.size
+            np.maximum.accumulate(indptr, out=indptr)
+        heads = dst.astype(dtype)  # a copy, whatever the dtype
+        heads -= 1
+        if not weighted:
+            weight = np.broadcast_to(1.0, heads.shape)
         graph = cls.__new__(cls)
-        graph._store(node_count, src, dst, weight if weighted else None, weighted, collapsed)
+        for name, value in (("node_count", node_count), ("indptr", indptr), ("heads", heads),
+                            ("weight", weight), ("weighted", weighted),
+                            ("collapsed_duplicates", collapsed)):
+            object.__setattr__(graph, name, value)
+        graph.__post_init__()
         return graph
 
 
@@ -305,26 +287,25 @@ def parse_edge_list(
 def _links(data: bytes, decode, drop_self_loops: bool):
     """(node count, src, dst, weight) of an edge list's bytes.  ``decode``
     turns bytes into the text the line loop reads; it runs on the leading
-    block alone when the body is read in bulk."""
+    block alone when the body is read in bulk.  Self-loops count toward
+    the node count before they are dropped."""
     start = leading_block_end(data, _is_head_line)
     links = _load_links(data, start)
     if links is None:
-        declared, max_id, src, dst, weight = _parse_lines(
-            io.StringIO(decode(data)), drop_self_loops
-        )
+        declared, src, dst, weight = _parse_lines(io.StringIO(decode(data)))
     else:
-        declared, *_ = _parse_lines(io.StringIO(decode(data[:start])), drop_self_loops)
+        declared, *_ = _parse_lines(io.StringIO(decode(data[:start])))
         src, dst, weight = links
-        max_id = int(max(src.max(), dst.max()))
-        if drop_self_loops:
-            keep = src != dst
-            src, dst, weight = src[keep], dst[keep], weight[keep]
+    max_id = int(max(src.max(), dst.max())) if src.size else 0
     if max_id == 0 and declared is None:
         raise ValueError("empty edge list and no 'N <count>' header")
+    if drop_self_loops:
+        keep = src != dst
+        src, dst, weight = src[keep], dst[keep], weight[keep]
     return max(max_id, declared or 0), src, dst, weight
 
 
-def _load_links(data: bytes | str, start: int = 0):
+def _load_links(data: bytes, start: int = 0):
     """(src, dst, weight) of an edge-list body, from offset ``start`` of
     ``data``, read in bulk; or None where the line loop must decide: numpy
     declined the body, or it holds an id below 1 or a weight that is not
@@ -345,11 +326,10 @@ def _is_head_line(line: bytes) -> bool:
     return not line or line.startswith(b"#") or line.split()[0] == b"N"
 
 
-def _parse_lines(lines, drop_self_loops: bool):
-    """The line loop: (declared count or None, largest id, src, dst, weight)."""
+def _parse_lines(lines):
+    """The line loop: (declared count or None, src, dst, weight)."""
     declared: int | None = None
     srcs, dsts, ws = array("q"), array("q"), array("d")
-    max_id = 0
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -389,15 +369,11 @@ def _parse_lines(lines, drop_self_loops: bool):
                 raise EdgeListParseError(lineno, "weight must be a real number") from None
             if not math.isfinite(w) or w <= 0:
                 raise ValueError(f"line {lineno}: weight must be positive and finite")
-        max_id = max(max_id, s, d)
-        if drop_self_loops and s == d:
-            continue
         srcs.append(s)
         dsts.append(d)
         ws.append(w)
     return (
         declared,
-        max_id,
         np.frombuffer(srcs, dtype=np.int64),
         np.frombuffer(dsts, dtype=np.int64),
         np.frombuffer(ws, dtype=np.float64),
@@ -427,8 +403,13 @@ def write_edge_list(g: DirectedGraph, destination) -> None:
             write_edge_list(g, fp)
         return
     destination.write(f"N {g.node_count}\n")
-    columns = (g.src, g.dst, g.weight) if g.weighted else (g.src, g.dst)
-    write_rows(destination, [], *columns, sep=" ")
+    # each chunk's src and dst come from the layout: no whole-length column
+    for start in range(0, g.link_count, _CHUNK_ROWS):
+        links = np.arange(start, min(start + _CHUNK_ROWS, g.link_count))
+        columns = [np.searchsorted(g.indptr, links, side="right"), g.heads[links] + 1]
+        if g.weighted:
+            columns.append(g.weight[links])
+        write_rows(destination, [], *columns, sep=" ")
 
 
 def synth_scale_free(

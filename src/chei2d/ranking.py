@@ -267,9 +267,7 @@ def _summed_matrix(graph: DirectedGraph, alpha: float, swap):
         del order
     strength = np.bincount(tail, weights=weight, minlength=n)
     data, dangling = normalized_links(strength, strength[tail], weight, alpha)
-    matrix = sp.csr_matrix((data, (head, tail)), shape=(n, n))
-    matrix.sum_duplicates()
-    return matrix, dangling
+    return sp.csr_matrix((data, (head, tail)), shape=(n, n)), dangling
 
 
 class StochasticOperator:
@@ -294,10 +292,10 @@ class StochasticOperator:
       its links.
     - Any other graph takes one summing recipe for a bool and a mask
       alike: every link as (tail, head, weight), each valued by its
-      tail's strength, and parallel links summed with ``sum_duplicates``
-      in the order that the graph the swapped links form would sum them
-      (a weighted graph's links are sorted by (tail, head, weight) under
-      a mask).
+      tail's strength, and parallel links summed by scipy's ``(data,
+      (row, col))`` constructor in the order that the graph the swapped
+      links form would sum them (a weighted graph's links are sorted by
+      (tail, head, weight) under a mask).
     """
 
     def __init__(self, graph: DirectedGraph, alpha: float = DEFAULT_ALPHA, *,

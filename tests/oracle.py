@@ -59,7 +59,8 @@ def dense_solve_oracle(g: DirectedGraph, alpha: float = DEFAULT_ALPHA) -> np.nda
 def reversed_graph(g: DirectedGraph) -> DirectedGraph:
     """``g`` with every link direction flipped: an involution that swaps
     the in- and out-degree vectors exactly."""
-    return DirectedGraph(g.node_count, g.dst, g.src, g.weight, weighted=g.weighted)
+    return DirectedGraph.from_links(g.node_count, g.dst, g.src, g.weight,
+                                    weighted=g.weighted, collapse=False)
 
 
 def filtered_graph(result) -> DirectedGraph:

@@ -167,11 +167,20 @@ def test_duplicate_accounting(lines):
 
 def test_links_in_order_are_copied_and_ties_sorted_by_weight():
     src, dst = np.array([1, 1, 2]), np.array([2, 3, 3])
-    g = DirectedGraph(3, src, dst, np.ones(3))
+    g = DirectedGraph.from_links(3, src, dst, np.ones(3), collapse=False)
     src[0] = 2
     assert g.src.tolist() == [1, 1, 2]
-    parallel = DirectedGraph(2, [1, 1, 1], [2, 2, 2], [2.0, 1.0, 3.0], weighted=True)
+    parallel = DirectedGraph.from_links(2, [1, 1, 1], [2, 2, 2], [2.0, 1.0, 3.0],
+                                        weighted=True, collapse=False)
     assert parallel.weight.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_collapsed_weights_are_summed_in_the_order_given():
+    weights = [0.3, 0.2, 0.1]
+    g = DirectedGraph.from_links(2, [1, 1, 1], [2, 2, 2], weights, weighted=True)
+    assert g.weight.tolist() == [np.add.reduceat(weights, [0])[0]] == [0.6000000000000001]
+    # summed in weight order, the same links would give 0.6
+    assert np.add.reduceat(sorted(weights), [0])[0] == 0.6
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -296,7 +305,8 @@ def test_at_destination_makes_no_int64_copy_of_dst():
     finally:
         tracemalloc.stop()
     assert np.array_equal(out, values[g.dst - 1])
-    # the gathered values and one padded copy of values; dst - 1 is 8 B/link more
+    # the gathered values alone: values is indexed by heads as they stand,
+    # and dst - 1 would be 8 B/link more
     assert peak <= 8 * g.link_count + 8 * (n + 1) + 16_384
 
 
@@ -516,7 +526,7 @@ def test_bulk_parse_corpus_matches_line_loop(text, accepted, weighted, drop_self
     ("1 2 1.0\n2 3\n", False),
 ])
 def test_weighted_rows_in_bulk(body, in_bulk):
-    assert (graph_module._load_links(body) is not None) == in_bulk
+    assert (graph_module._load_links(body.encode()) is not None) == in_bulk
 
 
 def test_read_edge_list_translates_crlf(tmp_path):

