@@ -32,7 +32,7 @@ from .ranking import (
 )
 from .spamfilter import FilterConfig, check_eta, filtered_cheirank, measure_fraction_curve
 from .stats import (
-    check_render_size,
+    check_flag_sizes,
     component_histogram,
     correlator,
     correlator_components,
@@ -137,6 +137,7 @@ def cmd_rank(args):
 
 
 def cmd_stats(args):
+    check_flag_sizes(bins=args.bins, points=args.delta_points)
     ranking, _ = read_rank_table(args.ranks)
     series = correlator_series(ranking, args.tau_min, args.tau_max)
     comps = correlator_components(ranking)
@@ -151,6 +152,7 @@ def cmd_stats(args):
 
 
 def cmd_density(args):
+    check_flag_sizes(cells=args.cells)
     ranking, _ = read_rank_table(args.ranks)
     grid = density_grid(
         ranking, cells=args.cells, scale=args.scale, divide_by_area=args.divide_by_area
@@ -159,6 +161,7 @@ def cmd_density(args):
 
 
 def cmd_flow(args):
+    check_flag_sizes(cells=args.cells)
     g = _read_graph(args)
     ranking, _ = read_rank_table(args.ranks)
     field = compute_flow(
@@ -229,7 +232,7 @@ def cmd_filter(args):
 
 
 def cmd_matrix(args):
-    check_render_size(args.cells, args.raw_window)
+    check_flag_sizes(cells=args.cells, raw_window=args.raw_window)
     g = _read_graph(args)
     computed = {}
     if args.ranks:

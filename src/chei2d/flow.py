@@ -80,22 +80,21 @@ def compute_flow(
     cy = bin_ranks(r.Kstar, n, cells, scale)
     shape = (cells, cells)
     size = cells * cells
-    counts = np.bincount(cx * cells + cy, minlength=size).reshape(shape)
+    cell = cx * cells + cy
+    counts = np.bincount(cell, minlength=size).reshape(shape)
 
-    if g.link_count:
-        source_cell = g.at_source(cx * cells + cy)
-        link_counts = np.bincount(source_cell, minlength=size).reshape(shape)
-        # Each link adds its destination's coordinate and takes away its
-        # source cell's; whole numbers, so the sums are exact in any order.
-        sum_x, sum_y = (
-            np.bincount(source_cell, weights=g.at_destination(c.astype(np.float64)),
-                        minlength=size).reshape(shape) - link_counts * at_cell
-            for c, at_cell in zip((cx, cy), np.indices(shape))
-        )
-    else:
-        sum_x = np.zeros(shape)
-        sum_y = np.zeros(shape)
-        link_counts = np.zeros(shape, dtype=np.int64)
+    link_counts = np.zeros(size, dtype=np.int64)
+    dst_sums = np.zeros((2, size))  # per source cell, each axis's destination coordinates
+    for _, tails, heads in g.link_blocks():
+        source_cell = cell[tails]
+        link_counts += np.bincount(source_cell, minlength=size)
+        for total, c in zip(dst_sums, (cx, cy)):
+            total += np.bincount(source_cell, weights=c[heads], minlength=size)
+    link_counts = link_counts.reshape(shape)
+    # Each link adds its destination's coordinate and takes away its
+    # source cell's; whole numbers, so the sums are exact in any order.
+    sum_x, sum_y = (total.reshape(shape) - link_counts * at_cell
+                    for total, at_cell in zip(dst_sums, np.indices(shape)))
 
     empty = (counts == 0) | (link_counts == 0)
     denom = (link_counts if per_link_average else counts).astype(np.float64)

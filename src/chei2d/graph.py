@@ -22,7 +22,6 @@ from typing import IO
 import numpy as np
 
 from ._bulk import (
-    _CHUNK_ROWS,
     decode_file,
     decode_text,
     encode_text,
@@ -47,6 +46,9 @@ _MAX_INT32 = int(np.iinfo(np.int32).max)
 # The link rows of the bulk edge-list parse: two integer ids, then a weight.
 _LINK_ROW = np.dtype([("src", np.int64), ("dst", np.int64)])
 _WEIGHTED_LINK_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
+# Links per block of :meth:`DirectedGraph.link_blocks`, a few MB of
+# per-link temporaries for the passes that walk the links.
+_BLOCK_LINKS = 1 << 17
 
 
 class EdgeListParseError(ValueError):
@@ -150,11 +152,26 @@ class DirectedGraph:
         per node) taken at the link's source, without building ``src``."""
         return np.repeat(values, self.out_degree)
 
-    def at_destination(self, values) -> np.ndarray:
-        """``values[dst - 1]``, one entry per link from ``values`` (one per
-        node) taken at the link's destination: ``values`` indexed by
-        ``heads`` as they stand."""
-        return np.asarray(values)[self.heads]
+    def link_blocks(self):
+        """Walk the links in blocks of whole rows: yield ``(links, tails,
+        heads)`` for runs of rows of about ``_BLOCK_LINKS`` links, a row
+        longer than that in a block of its own.  ``links`` is the slice of
+        the block's links in link order, ``tails`` their 0-based sources
+        (int64) and ``heads`` their 0-based destinations, a view of
+        :attr:`heads`.  Rows after the last link are never visited, so an
+        empty graph yields nothing."""
+        indptr, degree = self.indptr, self.out_degree
+        start = 0
+        while start < self.link_count:
+            # the row of link `start`, past any empty rows that end there
+            row = int(np.searchsorted(indptr, start, side="right")) - 1
+            # the last row end within one block's reach, at least that row's;
+            # the reach is capped at the link count, which fits indptr's dtype
+            reach = min(start + _BLOCK_LINKS, self.link_count)
+            end = max(int(np.searchsorted(indptr, reach, side="right")) - 1, row + 1)
+            links = slice(start, int(indptr[end]))
+            yield links, np.repeat(np.arange(row, end), degree[row:end]), self.heads[links]
+            start = links.stop
 
     @cached_property
     def out_degree(self) -> np.ndarray:
@@ -301,7 +318,9 @@ def _links(data: bytes, decode, drop_self_loops: bool):
         raise ValueError("empty edge list and no 'N <count>' header")
     if drop_self_loops:
         keep = src != dst
-        src, dst, weight = src[keep], dst[keep], weight[keep]
+        src, dst = src[keep], dst[keep]
+        # unit weights stay implicit; only weights read from the file are kept
+        weight = weight[keep] if weight.strides[0] else np.broadcast_to(1.0, src.shape)
     return max(max_id, declared or 0), src, dst, weight
 
 
@@ -392,7 +411,7 @@ def read_edge_list(path, *, weighted: bool = False,
 
 def write_edge_list(g: DirectedGraph, destination) -> None:
     """Write ``g`` as byte-stable edge-list text to a path or text stream,
-    row chunk by row chunk: the header ``N <count>``, then one line per
+    block of links by block: the header ``N <count>``, then one line per
     link in (src, dst) order.
 
     Weighted graphs carry a third column with full float precision.
@@ -403,10 +422,10 @@ def write_edge_list(g: DirectedGraph, destination) -> None:
             write_edge_list(g, fp)
         return
     destination.write(f"N {g.node_count}\n")
-    # each chunk's src and dst come from the layout: no whole-length column
-    for start in range(0, g.link_count, _CHUNK_ROWS):
-        links = np.arange(start, min(start + _CHUNK_ROWS, g.link_count))
-        columns = [np.searchsorted(g.indptr, links, side="right"), g.heads[links] + 1]
+    # each block's src and dst come from the layout: no whole-length column
+    for links, tails, heads in g.link_blocks():
+        tails += 1
+        columns = [tails, heads + 1]
         if g.weighted:
             columns.append(g.weight[links])
         write_rows(destination, [], *columns, sep=" ")

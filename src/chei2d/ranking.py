@@ -159,27 +159,26 @@ class TwoDRanking:
         )
 
 
-def normalized_links(strength, at_tail, weight, alpha: float):
-    """The damped operator's one normalization rule: (the value
+def normalized_links(at_tail, weight, alpha: float) -> np.ndarray:
+    """The damped operator's one normalization rule: the value
     ``alpha * w / s`` of each link, where ``s`` is the strength of its
-    tail, the 0-based dangling columns).  A column's strength is the total
-    weight of the links leaving it, and a column of zero strength is
-    dangling.  ``at_tail`` holds each link's ``s``."""
+    tail.  A column's strength is the total weight of the links leaving
+    it, and a column of zero strength is dangling.  ``at_tail`` holds
+    each link's ``s``."""
     values = alpha * weight
     values /= at_tail
-    return values, np.flatnonzero(strength == 0.0)
+    return values
 
 
-def tail_strength(graph: DirectedGraph):
-    """(each column's strength, the strength of each link's tail in
-    ``graph``'s link order) for PageRank's operator of ``graph``.  A
+def tail_strength(graph: DirectedGraph) -> np.ndarray:
+    """Each column's strength for PageRank's operator of ``graph``.  A
     weighted strength adds its links' weights in link order."""
     if graph.weighted:
         strength = np.bincount(graph.src, weights=graph.weight,
                                minlength=graph.node_count + 1)[1:]
     else:  # integer sums, exact in any order
         strength = graph.out_degree.astype(np.float64)
-    return strength, graph.at_source(strength)
+    return strength
 
 
 def _has_parallel_links(graph: DirectedGraph) -> bool:
@@ -266,7 +265,8 @@ def _summed_matrix(graph: DirectedGraph, alpha: float, swap):
         tail, head, weight = tail[order], head[order], weight[order]
         del order
     strength = np.bincount(tail, weights=weight, minlength=n)
-    data, dangling = normalized_links(strength, strength[tail], weight, alpha)
+    data = normalized_links(strength[tail], weight, alpha)
+    dangling = np.flatnonzero(strength == 0.0)
     return sp.csr_matrix((data, (head, tail)), shape=(n, n)), dangling
 
 

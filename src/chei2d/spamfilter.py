@@ -113,7 +113,9 @@ def _inversion_mask(at_src: np.ndarray, at_dst: np.ndarray, eta: float, mode: st
 
 
 def _filter(g: DirectedGraph, values: np.ndarray, eta: float, mode: str) -> FilterResult:
-    mask = _inversion_mask(g.at_source(values), g.at_destination(values), eta, mode)
+    mask = np.empty(g.link_count, dtype=bool)
+    for links, tails, heads in g.link_blocks():
+        mask[links] = _inversion_mask(values[tails], values[heads], eta, mode)
     mask.setflags(write=False)
     return FilterResult(g, mask)
 
@@ -215,11 +217,13 @@ def measure_fraction_curve(
     if ranking.node_count != g.node_count:
         raise ValueError("rank vector does not match the graph")
     values = ranking.probabilities if mode == "probability" else ranking.index.astype(np.float64)
-    at_src, at_dst = g.at_source(values), g.at_destination(values)
-    out = np.empty(etas.size)
-    for i, eta in enumerate(etas):
-        out[i] = _inversion_mask(at_src, at_dst, float(eta), mode).mean() if g.link_count else 0.0
-    return out
+    inverted = np.zeros(etas.size, dtype=np.int64)
+    for _, tails, heads in g.link_blocks():
+        at_src, at_dst = values[tails], values[heads]
+        for i, eta in enumerate(etas):
+            inverted[i] += np.count_nonzero(_inversion_mask(at_src, at_dst, float(eta), mode))
+    # a whole count over the link count, as a bool mask's mean divides it
+    return inverted / g.link_count if g.link_count else np.zeros(etas.size)
 
 
 def synth_rank_ensemble(

@@ -24,6 +24,7 @@ __all__ = [
     "Histogram",
     "MatrixRender",
     "bin_ranks",
+    "check_flag_sizes",
     "check_render_size",
     "component_histogram",
     "correlator",
@@ -296,6 +297,26 @@ def check_render_size(cells: int, raw_window: int) -> None:
         raise ValueError("raw_window must be >= 0")
 
 
+# The sizes the CLI takes from its flags, each as (least, most).  A cells x
+# cells grid, or a raw window, of float64 is then at most 32 MB, and a
+# bins- or points-long vector 8 MB.
+_FLAG_SIZES = {"cells": (1, 2000), "raw_window": (0, 2000),
+               "bins": (1, 1_000_000), "points": (1, 1_000_000)}
+
+
+def check_flag_sizes(**sizes: int) -> None:
+    """Raise ValueError unless each size given by name (``cells``,
+    ``raw_window``, ``bins``, ``points``) lies in its range, so that no
+    flag asks for an allocation beyond its bound; checked before any
+    input is read."""
+    for name, value in sizes.items():
+        least, most = _FLAG_SIZES[name]
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
+        if value > most:
+            raise ValueError(f"{name} must be <= {most}")
+
+
 def matrix_density_render(
     g: DirectedGraph,
     k_index,
@@ -322,24 +343,28 @@ def matrix_density_render(
     raw_window = min(int(raw_window), n)
     block = (k - 1) * cells // n
     ranks_per_block = np.bincount(np.arange(n) * cells // n, minlength=cells)
-    vals, dangling = normalized_links(*tail_strength(g), g.weight, alpha)
+    strength = tail_strength(g)
+    dangling = np.flatnonzero(strength == 0.0)
 
     grid = ((1.0 - alpha) / n) * np.outer(ranks_per_block, ranks_per_block)
     dangling_cols = np.bincount(block[dangling], minlength=cells)
     grid += (alpha / n) * np.outer(ranks_per_block, dangling_cols)
-    flat = g.at_destination(block)
-    flat *= cells
-    flat += g.at_source(block)
-    grid += np.bincount(flat, weights=vals, minlength=cells * cells).reshape(cells, cells)
-    del flat
-
     raw = np.full((raw_window, raw_window), (1.0 - alpha) / n)
     # k is a permutation, so no column is named twice
     raw[:, k[dangling[k[dangling] <= raw_window]] - 1] += alpha / n
-    k_dst = g.at_destination(k)
-    in_window = g.at_source(k <= raw_window)
-    in_window &= k_dst <= raw_window
-    np.add.at(raw, (k_dst[in_window] - 1, g.at_source(k)[in_window] - 1), vals[in_window])
+
+    # Links are added in link order, each cell's as one bincount over all
+    # links would add them, to a zero grid that then joins the floor.
+    links_grid = np.zeros(cells * cells)
+    for links, tails, heads in g.link_blocks():
+        vals = normalized_links(strength[tails], g.weight[links], alpha)
+        cell = block[heads] * cells
+        cell += block[tails]
+        np.add.at(links_grid, cell, vals)
+        k_src, k_dst = k[tails], k[heads]
+        in_window = (k_src <= raw_window) & (k_dst <= raw_window)
+        np.add.at(raw, (k_dst[in_window] - 1, k_src[in_window] - 1), vals[in_window])
+    grid += links_grid.reshape(cells, cells)
     return MatrixRender(DensityGrid(grid, "linear", float(grid.sum())), raw)
 
 

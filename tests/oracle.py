@@ -1,7 +1,10 @@
 """References used only by the tests: dense operators for small graphs,
 the link-reversed graph, the graph a filter's mask describes, rank
 vectors paired from raw weights, the text of an edge list and of a rank
-table in memory, and the row text of a data file."""
+table in memory, the row text of a data file, and the whole-array
+recipes of the passes over every link (the inversion mask, the fraction
+curve, the flow field and the matrix render), which gather one value per
+link at once where the library walks the links block by block."""
 
 import io
 
@@ -10,11 +13,13 @@ import numpy as np
 from chei2d import (
     DEFAULT_ALPHA,
     DirectedGraph,
+    FlowField,
     RankVector,
     TwoDRanking,
     write_edge_list,
     write_rank_table,
 )
+from chei2d.stats import bin_ranks
 
 _DENSE_LIMIT = 2000
 
@@ -118,3 +123,79 @@ def reference_rows(header_lines, *columns, sep: str = "\t") -> str:
         return text
     row = sep.join(["{!r}"] * len(arrays)) + "\n"
     return text + "".join(map(row.format, *(a.tolist() for a in arrays)))
+
+
+# -- whole-array recipes of the link passes ----------------------------------
+
+
+def reference_mask(g: DirectedGraph, values, eta: float, mode: str) -> np.ndarray:
+    """The inversion mask from each link's two endpoint values, gathered
+    whole: strict inequalities, and eta=inf as the limit."""
+    values = np.asarray(values)
+    at_src, at_dst = values[g.src - 1], values[g.dst - 1]
+    if mode == "probability":
+        if np.isinf(eta):
+            return at_src > 0.0
+        return eta * at_src > at_dst
+    if np.isinf(eta):
+        return np.ones(at_src.size, dtype=bool)
+    return at_src < eta * at_dst
+
+
+def reference_fraction_curve(g: DirectedGraph, etas, mode: str, ranking: RankVector):
+    """The mean of each eta's whole mask."""
+    values = ranking.probabilities if mode == "probability" else ranking.index.astype(np.float64)
+    return np.array([reference_mask(g, values, float(eta), mode).mean() if g.link_count else 0.0
+                     for eta in np.asarray(etas, dtype=np.float64)])
+
+
+def reference_flow(g: DirectedGraph, r: TwoDRanking, cells: int, scale: str = "log",
+                   per_link_average: bool = False) -> FlowField:
+    """The flow field by one ``bincount`` over all links at once."""
+    n = r.node_count
+    cx = bin_ranks(r.K, n, cells, scale)
+    cy = bin_ranks(r.Kstar, n, cells, scale)
+    shape, size = (cells, cells), cells * cells
+    counts = np.bincount(cx * cells + cy, minlength=size).reshape(shape)
+    source_cell = (cx * cells + cy)[g.src - 1]
+    link_counts = np.bincount(source_cell, minlength=size).reshape(shape)
+    sum_x, sum_y = (
+        np.bincount(source_cell, weights=c.astype(np.float64)[g.dst - 1],
+                    minlength=size).reshape(shape) - link_counts * at_cell
+        for c, at_cell in zip((cx, cy), np.indices(shape))
+    )
+    empty = (counts == 0) | (link_counts == 0)
+    denom = (link_counts if per_link_average else counts).astype(np.float64)
+    dx = np.divide(sum_x, denom, out=np.zeros(shape), where=~empty)
+    dy = np.divide(sum_y, denom, out=np.zeros(shape), where=~empty)
+    return FlowField(scale, counts, dx, dy, empty)
+
+
+def reference_render(g: DirectedGraph, k_index, cells: int, alpha: float = DEFAULT_ALPHA,
+                     raw_window: int = 200):
+    """(coarse grid, raw window) of the matrix render, every link's value
+    and cell gathered at once and summed by one ``bincount``."""
+    n = g.node_count
+    k = np.asarray(k_index, dtype=np.int64)
+    raw_window = min(int(raw_window), n)
+    block = (k - 1) * cells // n
+    ranks_per_block = np.bincount(np.arange(n) * cells // n, minlength=cells)
+    src, dst = g.src - 1, g.dst - 1
+    if g.weighted:
+        strength = np.bincount(src, weights=g.weight, minlength=n)
+    else:
+        strength = g.out_degree.astype(np.float64)
+    vals = alpha * g.weight
+    vals /= strength[src]
+    dangling = np.flatnonzero(strength == 0.0)
+
+    grid = ((1.0 - alpha) / n) * np.outer(ranks_per_block, ranks_per_block)
+    grid += (alpha / n) * np.outer(ranks_per_block, np.bincount(block[dangling], minlength=cells))
+    flat = block[dst] * cells + block[src]
+    grid += np.bincount(flat, weights=vals, minlength=cells * cells).reshape(cells, cells)
+
+    raw = np.full((raw_window, raw_window), (1.0 - alpha) / n)
+    raw[:, k[dangling[k[dangling] <= raw_window]] - 1] += alpha / n
+    in_window = (k[src] <= raw_window) & (k[dst] <= raw_window)
+    np.add.at(raw, (k[dst][in_window] - 1, k[src][in_window] - 1), vals[in_window])
+    return grid, raw

@@ -53,3 +53,22 @@ def rankings(draw, min_n=2, max_n=16):
     p = draw(st.lists(st.floats(0.001, 1.0), min_size=n, max_size=n))
     ps = draw(st.lists(st.floats(0.001, 1.0), min_size=n, max_size=n))
     return ranking_from_probabilities(np.asarray(p), np.asarray(ps))
+
+
+@st.composite
+def walk_graphs(draw):
+    """Graphs for the link-block walk: weighted or not, collapsed or not,
+    often with one hub row of 8 to 20 distinct heads, longer than the
+    small blocks the tests force; empty and dangling rows come from the
+    random links."""
+    weighted, collapse = draw(st.booleans()), draw(st.booleans())
+    n = draw(st.integers(1, 30))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=40))
+    if n >= 8 and draw(st.booleans()):
+        hub = draw(st.integers(1, n))
+        heads = draw(st.lists(st.integers(1, n), min_size=8, max_size=20, unique=True))
+        pairs += [(hub, d) for d in heads]
+    weights = draw(st.lists(st.floats(0.125, 8.0), min_size=len(pairs),
+                            max_size=len(pairs))) if weighted else None
+    return DirectedGraph.from_links(n, [s for s, _ in pairs], [d for _, d in pairs], weights,
+                                    weighted=weighted, collapse=collapse)

@@ -6,6 +6,7 @@ import pytest
 import chei2d.cli
 from chei2d import parse_edge_list
 from chei2d.cli import main
+from chei2d.stats import check_flag_sizes
 from chei2d.tableio import read_rank_table
 from conftest import CHAIN, THREE_CYCLE
 from oracle import dense_solve_oracle
@@ -246,6 +247,37 @@ def test_matrix_rejects_negative_window_and_empty_grid(cycle_file, tmp_path, cap
     message = {"--raw-window": "raw_window must be >= 0", "--cells": "cells must be >= 1"}
     assert capsys.readouterr().err == f"error: {message[flag]}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("density", "--cells", "0", "cells must be >= 1"),
+    ("density", "--cells", "2001", "cells must be <= 2000"),
+    ("flow", "--cells", "2001", "cells must be <= 2000"),
+    ("matrix", "--cells", "2001", "cells must be <= 2000"),
+    ("matrix", "--raw-window", "2001", "raw_window must be <= 2000"),
+    ("stats", "--bins", "0", "bins must be >= 1"),
+    ("stats", "--bins", "1000001", "bins must be <= 1000000"),
+    ("stats", "--delta-points", "0", "points must be >= 1"),
+    ("stats", "--delta-points", "100000000000000", "points must be <= 1000000"),
+])
+def test_flag_sizes_are_bounded_before_any_input_is_read(tmp_path, capsys, monkeypatch,
+                                                         command, flag, value, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input was read before the check")
+
+    for reader in ("read_edge_list", "read_rank_table", "pagerank"):
+        monkeypatch.setattr(chei2d.cli, reader, refuse)
+    inputs = {"density": ["ranks.tsv"], "stats": ["ranks.tsv"],
+              "flow": ["edges.txt", "ranks.tsv"], "matrix": ["edges.txt"]}[command]
+    out = tmp_path / "o"
+    assert run(command, *inputs, flag, value, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_flag_sizes_accept_their_bounds():
+    check_flag_sizes(cells=2000, raw_window=2000, bins=1_000_000, points=1_000_000)
+    check_flag_sizes(cells=1, raw_window=0, bins=1, points=1)
 
 
 def test_twodrank_with_subset(cycle_file, tmp_path):

@@ -275,11 +275,18 @@ _DTYPES = [np.int64, np.int32, np.uint8, np.float64, np.float32, bool, np.comple
            object]
 
 
+def at_destination(g, values):
+    """``values`` at each link's destination, gathered block by block with
+    the heads that ``link_blocks`` yields."""
+    parts = [values[heads] for _, _, heads in g.link_blocks()]
+    return np.concatenate(parts) if parts else values[:0]
+
+
 @given(graphs(weighted=True, collapse=False), st.sampled_from(_DTYPES))
 def test_at_destination_is_values_at_dst(g, dtype):
     values = (np.arange(g.node_count) * 7 % 5).astype(dtype)
     expected = values[g.dst - 1]
-    out = g.at_destination(values)
+    out = at_destination(g, values)
     assert out.dtype == expected.dtype
     assert out.tolist() == expected.tolist()
 
@@ -288,26 +295,31 @@ def test_at_destination_is_values_at_dst(g, dtype):
 def test_at_destination_of_an_empty_graph(dtype):
     g = DirectedGraph.from_links(3, [], [])
     values = np.arange(3).astype(dtype)
-    out = g.at_destination(values)
+    assert list(g.link_blocks()) == []
+    out = at_destination(g, values)
     assert out.shape == (0,) and out.dtype == values[g.dst - 1].dtype
 
 
 def test_at_destination_makes_no_int64_copy_of_dst():
     rng = np.random.default_rng(1)
-    n, links = 20_000, 200_000
+    n, links = 20_000, 400_000
     g = DirectedGraph.from_links(n, rng.integers(1, n + 1, links), rng.integers(1, n + 1, links))
     values = rng.random(n)
+    total = 0.0
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = g.at_destination(values)
+        for _, _, heads in g.link_blocks():
+            assert np.shares_memory(heads, g.heads)
+            total += values[heads].sum()
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert np.array_equal(out, values[g.dst - 1])
-    # the gathered values alone: values is indexed by heads as they stand,
-    # and dst - 1 would be 8 B/link more
-    assert peak <= 8 * g.link_count + 8 * (n + 1) + 16_384
+    assert total == pytest.approx(values[g.dst - 1].sum())
+    # two blocks' int64 tails (the loop holds the last block while the walk
+    # makes the next) and one block's gathered values: values is indexed by
+    # heads as they stand, and dst - 1 would be 8 B/link more
+    assert peak <= 24 * graph_module._BLOCK_LINKS + 16_384
 
 
 @pytest.mark.parametrize("src, dst, weight", [

@@ -1,6 +1,6 @@
-"""Peak traced memory of the pass operations, and of writing the edge
-list, on a graph of the benchmark's ``lib-solve`` size: 1.5e5 nodes and
-about 1.41e6 links.
+"""Peak traced memory of the pass operations, of writing the edge list
+and of reading it, on a graph of the benchmark's ``lib-solve`` size:
+1.5e5 nodes and about 1.41e6 links.
 
 Each pass bound is the operation's measured peak in bytes per link
 (N-long and cells x cells arrays included) plus the 256 KB slack of the
@@ -9,6 +9,15 @@ the graph's int32 ``heads`` as they stand, with no int64 copy of
 ``dst``; unweighted operators are built with no sort.  Before both, the
 peaks were 48.8 B/link (``filtered_cheirank``, set by the masked build),
 37.2 (``matrix_density_render``) and 34.6 (``compute_flow``).
+
+The inversion mask, the fraction curve, the flow field and the matrix
+render walk the links in blocks of whole rows (``link_blocks``), so
+their per-link temporaries are one block long.  The ``*_holds_one_block``
+bounds are N-long, cells x cells and ``_BLOCK_LINKS``-long terms with no
+per-link term; before the walk these passes peaked at 25.0-25.9 B/link (the
+fraction curve), 18.6 (the flow field) and 29.2 (the render), and
+``filtered_cheirank`` at 27.6, set by the mask's whole-length endpoint
+values.
 """
 
 import os
@@ -18,6 +27,7 @@ import numpy as np
 import pytest
 
 from chei2d import (
+    DirectedGraph,
     FilterConfig,
     StochasticOperator,
     TwoDRanking,
@@ -25,9 +35,12 @@ from chei2d import (
     filter_links_by_prob,
     filtered_cheirank,
     matrix_density_render,
+    measure_fraction_curve,
+    read_edge_list,
     synth_scale_free,
     write_edge_list,
 )
+from chei2d.graph import _BLOCK_LINKS
 
 _SLACK = 262_144
 
@@ -83,3 +96,53 @@ def test_write_edge_list_peak(solved):
     # whole-length src and dst columns would be 16 B/link
     with open(os.devnull, "w") as fp:
         assert _peak(lambda: write_edge_list(g, fp)) <= 4 * g.link_count
+
+
+def test_filtered_cheirank_peak_is_the_masked_build_and_the_mask(solved):
+    g, _ = solved
+    # the masked build's bound and the 1 B/link mask, with PageRank's result
+    # (probabilities, index and order: 24 B/node) held through the second
+    # power iteration and that iteration's vectors (22 B/node)
+    peak = _peak(lambda: filtered_cheirank(g, FilterConfig(eta=10.0)))
+    assert peak <= (14.4 + 1) * g.link_count + 48 * g.node_count + _SLACK
+
+
+def test_fraction_curve_holds_one_block(solved):
+    g, r = solved
+    etas = [0.0, 0.1, 1.0, 10.0, 100.0, 1000.0, float("inf")]
+    # the ranks as floats (8 B/node) and a few N-long temporaries; per block
+    # link, its tail, its two endpoint values, a product and a mask, and the
+    # last block's tail and values while the next one is made
+    peak = _peak(lambda: measure_fraction_curve(g, etas, "rank", ranking=r.pagerank))
+    assert peak <= 24 * g.node_count + 40 * _BLOCK_LINKS + _SLACK
+
+
+def test_compute_flow_holds_one_block(solved):
+    g, r = solved
+    # the binning's N-long arrays; per block link, its tail, its source
+    # cell and its destination coordinate
+    peak = _peak(lambda: compute_flow(g, r, cells=25))
+    assert peak <= 48 * g.node_count + 16 * _BLOCK_LINKS + _SLACK
+
+
+def test_matrix_density_render_holds_one_block(solved):
+    g, r = solved
+    cells = 500
+    # the rank checks and per-node blocks and strengths; the grid, the
+    # links' grid and an outer-product temporary; per block link, its tail,
+    # value, cell and endpoint ranks
+    peak = _peak(lambda: matrix_density_render(g, r.K, cells=cells))
+    assert peak <= 32 * g.node_count + 24 * cells * cells + 48 * _BLOCK_LINKS + _SLACK
+
+
+def test_dropping_self_loops_keeps_unit_weights_implicit(tmp_path):
+    rng = np.random.default_rng(7)
+    n, links = 50_000, 400_000
+    g = DirectedGraph.from_links(n, rng.integers(1, n + 1, links), rng.integers(1, n + 1, links))
+    path = tmp_path / "edges.txt"
+    write_edge_list(g, path)
+    plain = _peak(lambda: read_edge_list(path))
+    # the masked copies of src and dst (16 B/link) and the mask (1 B/link);
+    # a float64 copy of the unit weights would be 8 B/link more
+    flagged = _peak(lambda: read_edge_list(path, drop_self_loops=True))
+    assert flagged <= plain + 17 * g.link_count + 65_536
