@@ -2,12 +2,13 @@
 
 The edge-list and rank-table readers each keep a line loop that is the
 only source of their accept/reject rules and error messages.  This
-module is their fast path.  A reader holds the file as bytes:
-:func:`leading_block_end` finds where its header and comment lines end,
-and :func:`load_rows` has numpy's C text parser read the rest in one
-call.  It declines (returns None) any body it could read differently
-from the line loop, which then parses the decoded text of the whole
-file again; only then is the text decoded.
+module is their fast path, on bytes: :func:`leading_block_end` finds
+where a file's header and comment lines end, and :func:`load_rows` has
+numpy's C text parsers read the lines after them.  It declines (returns
+None) any text it could read differently from the line loop, which then
+parses the decoded text from there on; only then is the text decoded.
+The edge-list reader hands it a file block by block, the rank-table
+reader its whole body at once.
 
 :func:`write_rows` writes the rows of every data file.  Per chunk of
 rows it fills a fixed-width byte matrix, one row per line: integers as
@@ -29,6 +30,7 @@ _DIGITS_AND_WHITESPACE = b"0123456789 \t\n"
 _CHUNK_ROWS = 1 << 14
 # Body bytes load_rows checks at once.
 _CHECK_BYTES = 1 << 20
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def write_rows(fp: IO[str], header_lines, *columns, sep: str = "\t") -> None:
@@ -122,8 +124,10 @@ def load_rows(data: bytes, start: int, symbols: bytes,
     int64 or a malformed number.  Those bytes rule out what Python's
     ``int``/``float`` read differently from numpy (underscores, non-ASCII
     digits, ``inf``/``nan``) and carriage returns, which a line loop over
-    a string does not split on.  The body is checked in chunks and parsed
-    from a stream over ``data``; neither copies it whole.
+    a string does not split on.  Rows of int64 fields alone are parsed
+    by :func:`_integer_rows`, and by ``np.loadtxt`` from a stream over
+    ``data`` where that declines, as other rows are.  The body is checked
+    in chunks, and neither parse copies it whole.
     """
     if start >= len(data):
         return None
@@ -131,6 +135,10 @@ def load_rows(data: bytes, start: int, symbols: bytes,
     for pos in range(start, len(data), _CHECK_BYTES):
         if data[pos:pos + _CHECK_BYTES].translate(None, allowed):
             return None
+    if not symbols and all(dtype[name] == np.int64 for name in dtype.names):
+        rows = _integer_rows(data, start, dtype)
+        if rows is not None:
+            return rows
     stream = io.BytesIO(data)
     stream.seek(start)
     # At most one row per line: given that bound, numpy allocates the rows
@@ -145,6 +153,43 @@ def load_rows(data: bytes, start: int, symbols: bytes,
         return None
 
 
+def _integer_rows(data: bytes, start: int, dtype: np.dtype):
+    """:func:`load_rows` of digits and whitespace into int64 fields, by
+    one ``np.fromstring`` call: no rows for blank lines alone, and None
+    where a non-blank line holds other than one field per ``dtype``
+    field or a value reads as int64's maximum, which ``np.fromstring``
+    also gives for any larger one.
+
+    ``np.fromstring`` reads the numbers whatever lines they are on, and
+    whitespace alone as one 0, so each field's line is checked from
+    where its digits start."""
+    text = np.frombuffer(data, dtype=np.uint8, offset=start)
+    digit = text >= ord("0")  # the rest is whitespace
+    if not digit.any():
+        return np.zeros(0, dtype=dtype)  # blank lines alone
+    field_starts = np.empty(text.size, dtype=np.int8)
+    field_starts[0] = digit[0]
+    np.greater(digit[1:], digit[:-1], out=field_starts[1:])
+    line_starts = np.flatnonzero(text[:-1] == ord("\n")) + 1
+    # Fields per line, counted in int8 so that nothing is cast: a count
+    # wraps past 127, but a line whose count wrapped to 0 or to the field
+    # count holds more values than that, which the total then shows.
+    per_line = np.add.reduceat(field_starts, np.concatenate(([0], line_starts)),
+                               dtype=np.int8)
+    fields = len(dtype.names)
+    if np.any((per_line != fields) & (per_line != 0)):
+        return None
+    try:
+        values = np.fromstring(data[start:] if start else data, dtype=np.int64, sep=" ")
+    except ValueError:
+        return None
+    if values.size != fields * np.count_nonzero(per_line):
+        return None
+    if values.max() == _INT64_MAX:
+        return None
+    return values.view(dtype)
+
+
 def encode_text(text: str) -> bytes:
     """The bytes of a text a reader was handed as ``str``; lone surrogates
     survive the round trip through :func:`decode_text`."""
@@ -157,16 +202,17 @@ def decode_text(data: bytes) -> str:
     return data.decode("utf-8", "surrogatepass")
 
 
-def decode_file(data: bytes) -> str:
+def decode_file(data: bytes, first_line: int = 1) -> str:
     """A file's bytes as ``open(path, encoding="utf-8").read()`` returns
     them: strict UTF-8 with universal newlines.  Bytes that are not UTF-8
     raise ValueError naming the 1-based line of the first bad byte, as
-    universal newlines count lines."""
+    universal newlines count lines, ``data`` starting at line
+    ``first_line``."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = data[:exc.start]
-        lineno = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        lineno = first_line + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
         raise ValueError(f"line {lineno}: invalid UTF-8, byte 0x{data[exc.start]:02x} "
                          f"({exc.reason})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -5,9 +5,10 @@ A graph is one CSR layout by source, in scipy's index dtype: ``indptr``
 CheiRank's matrix as they stand.  Link sources and 1-based ``dst`` are
 derived on read, and unit weights are implicit.  Every graph is built
 by :meth:`DirectedGraph.from_links`, the one place that sorts, collapses
-and checks links.  Also here: edge-list ingestion, byte-stable
-serialization and a seeded scale-free generator.  Graphs are immutable
-and thread-safe.
+and checks links, or by the edge-list reader straight from sorted text;
+both end in one layout-assembly step.  Also here: edge-list ingestion in
+blocks, byte-stable serialization and a seeded scale-free generator.
+Graphs are immutable and thread-safe.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -49,6 +51,9 @@ _WEIGHTED_LINK_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", 
 # Links per block of :meth:`DirectedGraph.link_blocks`, a few MB of
 # per-link temporaries for the passes that walk the links.
 _BLOCK_LINKS = 1 << 17
+# Bytes an edge-list read takes from its file at once; the block of lines
+# cut from them and its parse hold about seven times that.
+_READ_BYTES = 1 << 18
 
 
 class EdgeListParseError(ValueError):
@@ -77,6 +82,13 @@ def _in_order(*keys: np.ndarray) -> bool:
     return True
 
 
+def _row_ends(src: np.ndarray, offset: int = 0):
+    """(sources, ends) of sorted link sources: each source once, with the
+    index just past its last link, links counted from ``offset``."""
+    last = np.append(np.flatnonzero(src[1:] != src[:-1]), src.size - 1)
+    return src[last], last + (offset + 1)
+
+
 def _index_dtype(node_count: int, link_count: int) -> np.dtype:
     """scipy's index dtype for an N x N matrix of ``link_count`` entries,
     which it then takes as indices without a copy: int32, unless the node
@@ -98,7 +110,7 @@ class DirectedGraph:
     read-only view of a single 1.0.  So a graph holds 4 bytes per link
     (12 when weighted) plus 4 per node, twice that with int64 indices.
 
-    :meth:`from_links` is the only constructor; calling the class
+    :meth:`from_links` is the only public constructor; calling the class
     raises TypeError.  It takes links as (src, dst, weight) arrays in any
     order and sorts them by (src, dst), and a weighted graph's parallel
     links kept by ``collapse=False`` by weight as well.  An unweighted
@@ -236,6 +248,7 @@ class DirectedGraph:
             src, dst = src[order], dst[order]
             if weighted:
                 weight = weight[order]
+            del order  # 8 B/link that nothing below needs
         collapsed = 0
         if collapse and src.size:
             starts = np.concatenate(([True], (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])))
@@ -254,24 +267,33 @@ class DirectedGraph:
                 raise ValueError("link endpoint outside [1, node_count]")
             if weighted and (not np.all(np.isfinite(weight)) or np.any(weight <= 0)):
                 raise ValueError("link weights must be positive and finite")
-        dtype = _index_dtype(node_count, src.size)
+        heads = dst.astype(_index_dtype(node_count, dst.size))  # a copy, whatever the dtype
+        heads -= 1
+        rows = [_row_ends(src)] if src.size else []
+        return cls._assemble(node_count, rows, heads, weight if weighted else None, collapsed)
+
+    @classmethod
+    def _assemble(cls, node_count: int, rows, heads: np.ndarray, weight, collapsed: int):
+        """The graph of links in (src, dst) order whose endpoints are known
+        to lie in ``1 .. node_count``.  For each ``(sources, ends)`` of
+        ``rows`` in turn, node ``sources[i]``'s links end at ``ends[i]``;
+        ``heads`` are the links' 0-based destinations, kept without a copy
+        when already in the index dtype, and ``weight`` their weights, or
+        None for an unweighted graph."""
+        dtype = _index_dtype(node_count, heads.size)
         # Allocated before anything else N-long, so that a node count
         # beyond memory fails here.
         indptr = np.zeros(node_count + 1, dtype=dtype)
-        if src.size:
-            # src is sorted, so node i's links end after the last link whose
-            # source is i or lower; read in place, src may be a strided view.
-            ends = np.flatnonzero(src[1:] != src[:-1])
-            indptr[src[ends]] = ends + 1
-            indptr[src[-1]] = src.size
-            np.maximum.accumulate(indptr, out=indptr)
-        heads = dst.astype(dtype)  # a copy, whatever the dtype
-        heads -= 1
-        if not weighted:
-            weight = np.broadcast_to(1.0, heads.shape)
+        for sources, ends in rows:
+            indptr[sources] = ends  # a row's last entry gives its end
+        # a node without links ends where the node before it does
+        np.maximum.accumulate(indptr, out=indptr)
         graph = cls.__new__(cls)
-        for name, value in (("node_count", node_count), ("indptr", indptr), ("heads", heads),
-                            ("weight", weight), ("weighted", weighted),
+        for name, value in (("node_count", node_count), ("indptr", indptr),
+                            ("heads", heads.astype(dtype, copy=False)),
+                            ("weight", np.broadcast_to(1.0, heads.shape) if weight is None
+                             else weight),
+                            ("weighted", weight is not None),
                             ("collapsed_duplicates", collapsed)):
             object.__setattr__(graph, name, value)
         graph.__post_init__()
@@ -297,31 +319,138 @@ def parse_edge_list(
     non-positive weights, empty input without a header).
     """
     text = source if isinstance(source, str) else source.read()
-    links = _links(encode_text(text), decode_text, drop_self_loops)
-    return DirectedGraph.from_links(*links, weighted=weighted)
+    return _read(io.BytesIO(encode_text(text)), lambda data, _: decode_text(data),
+                 weighted, drop_self_loops)
 
 
-def _links(data: bytes, decode, drop_self_loops: bool):
-    """(node count, src, dst, weight) of an edge list's bytes.  ``decode``
-    turns bytes into the text the line loop reads; it runs on the leading
-    block alone when the body is read in bulk.  Self-loops count toward
-    the node count before they are dropped."""
-    start = leading_block_end(data, _is_head_line)
-    links = _load_links(data, start)
-    if links is None:
-        declared, src, dst, weight = _parse_lines(io.StringIO(decode(data)))
+def _blocks(fp):
+    """The bytes of the binary stream ``fp``, read ``_READ_BYTES`` at a
+    time, in blocks of whole lines; the last block ends where the stream
+    does."""
+    pending = []  # reads since the last newline
+    while chunk := fp.read(_READ_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            block = b"".join([*pending, memoryview(chunk)[:cut]])
+            pending = [chunk[cut:]]
+            del chunk  # not held while the block is parsed
+            yield block
+        else:
+            pending.append(chunk)
+    if any(pending):
+        yield b"".join(pending)
+
+
+def _read(fp, decode, weighted: bool, drop_self_loops: bool) -> DirectedGraph:
+    """The graph of the edge list in the binary stream ``fp``, read once,
+    block by block.  ``decode(data, first_line)`` turns bytes that start
+    at line ``first_line`` into the text the line loop reads.
+
+    The leading block of header and comment lines is set aside, and the
+    body's blocks are read in bulk until one declines; the line loop
+    then reads the rest of the stream.  The leading block's text is
+    decoded and parsed last, so that every outcome, errors and their
+    line numbers included, is that of the line loop on the whole text.
+    """
+    blocks = _blocks(fp)
+    head = bytearray()
+    for block in blocks:
+        start = leading_block_end(block, _is_head_line)
+        head += block[:start]
+        if start < len(block):
+            break
     else:
-        declared, *_ = _parse_lines(io.StringIO(decode(data[:start])))
-        src, dst, weight = links
-    max_id = int(max(src.max(), dst.max())) if src.size else 0
-    if max_id == 0 and declared is None:
+        block, start = b"", 0  # no body
+    links = _LinkRows(weighted, drop_self_loops)
+    lines = head.count(b"\n")  # lines before the one at ``start``
+    rest = b""
+    for block in chain([block], blocks):
+        parsed = _load_links(block, start)
+        if parsed is None:
+            rest = b"".join([block[start:], *blocks])
+            break
+        links.add(*parsed)
+        lines += block.count(b"\n", start)
+        start = 0
+    head_text, rest_text = decode(head, 1), decode(rest, lines + 1)
+    declared, *_ = _parse_lines(io.StringIO(head_text))
+    declared, *parsed = _parse_lines(io.StringIO(rest_text), lines + 1, declared)
+    links.add(*parsed)
+    if links.max_id == 0 and declared is None:
         raise ValueError("empty edge list and no 'N <count>' header")
-    if drop_self_loops:
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        # unit weights stay implicit; only weights read from the file are kept
-        weight = weight[keep] if weight.strides[0] else np.broadcast_to(1.0, src.shape)
-    return max(max_id, declared or 0), src, dst, weight
+    return links.graph(max(links.max_id, declared or 0))
+
+
+class _LinkRows:
+    """The links of an edge list as its blocks are parsed.
+
+    While the links of an unweighted read come sorted by (src, dst), with
+    no repeated pair and every id within int32, as each file from
+    :func:`write_edge_list` does, they are kept as the rows of the
+    graph's layout: int32 heads, whose buffer grows by a sixteenth at a
+    time and becomes the graph's, and where each block's rows end.  From
+    the first links that break this on, they are kept as (src, dst[,
+    weight]) columns for :meth:`DirectedGraph.from_links`, which sorts and
+    collapses them.  Self-loops count toward the largest id before they
+    are dropped."""
+
+    def __init__(self, weighted: bool, drop_self_loops: bool):
+        self.weighted, self.drop_self_loops = weighted, drop_self_loops
+        self.max_id = 0
+        self.heads, self.rows = array("i"), []
+        self.last = (0, 0)  # the last link kept as a row
+        self.columns = (array("q"), array("q"), array("d")) if weighted else None
+
+    def add(self, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> None:
+        if not src.size:
+            return
+        self.max_id = max(self.max_id, int(src.max()), int(dst.max()))
+        if self.drop_self_loops:
+            keep = src != dst
+            src, dst = src[keep], dst[keep]
+            # unit weights stay implicit; only weights read from the file are kept
+            weight = weight[keep] if weight.strides[0] else np.broadcast_to(1.0, src.shape)
+            if not src.size:
+                return
+        if self.columns is None and self._continues_rows(src, dst):
+            self.rows.append(_row_ends(src, len(self.heads)))
+            heads = dst.astype(np.int32)
+            heads -= 1
+            self.heads.frombytes(heads.view(np.uint8))
+            self.last = (int(src[-1]), int(dst[-1]))
+            return
+        if self.columns is None:
+            self.columns = self._row_columns()
+        # an unweighted read keeps no weight column
+        for column, values in zip(self.columns, (src, dst, weight)):
+            column.frombytes(np.ascontiguousarray(values, dtype=column.typecode).view(np.uint8))
+
+    def _continues_rows(self, src: np.ndarray, dst: np.ndarray) -> bool:
+        """Whether the links follow the rows in strict (src, dst) order, and
+        ids and link count stay within int32."""
+        if (self.max_id > _MAX_INT32 or len(self.heads) + src.size > _MAX_INT32
+                or (int(src[0]), int(dst[0])) <= self.last):
+            return False
+        src_step, dst_step = np.diff(src), np.diff(dst)
+        return bool(np.all((src_step > 0) | ((src_step == 0) & (dst_step > 0))))
+
+    def _row_columns(self):
+        """The rows kept so far as (src, dst) columns; the rows are let go."""
+        src, dst, start = array("q"), array("q"), 0
+        for sources, ends in self.rows:
+            src.frombytes(np.repeat(sources, np.diff(ends, prepend=start)).view(np.uint8))
+            start = ends[-1]
+        dst.frombytes((np.frombuffer(self.heads, dtype=np.int32) + np.int64(1)).view(np.uint8))
+        self.heads, self.rows = array("i"), []
+        return src, dst
+
+    def graph(self, node_count: int) -> DirectedGraph:
+        """The graph of the links kept, on ``node_count`` nodes."""
+        if self.columns is not None:
+            columns = (np.frombuffer(c, dtype=c.typecode) for c in self.columns)
+            return DirectedGraph.from_links(node_count, *columns, weighted=self.weighted)
+        heads = np.frombuffer(self.heads, dtype=np.int32)
+        return DirectedGraph._assemble(node_count, self.rows, heads, None, 0)
 
 
 def _load_links(data: bytes, start: int = 0):
@@ -334,7 +463,7 @@ def _load_links(data: bytes, start: int = 0):
         rows = load_rows(data, start, b".eE+-", _WEIGHTED_LINK_ROW)
         if rows is None or not np.all(np.isfinite(rows["weight"]) & (rows["weight"] > 0)):
             return None
-    if min(rows["src"].min(), rows["dst"].min()) < 1:
+    if rows.size and min(rows["src"].min(), rows["dst"].min()) < 1:
         return None
     # unit weights of two-column rows, without allocating them
     weight = rows["weight"] if "weight" in rows.dtype.names else np.broadcast_to(1.0, rows.shape)
@@ -345,11 +474,12 @@ def _is_head_line(line: bytes) -> bool:
     return not line or line.startswith(b"#") or line.split()[0] == b"N"
 
 
-def _parse_lines(lines):
-    """The line loop: (declared count or None, src, dst, weight)."""
-    declared: int | None = None
+def _parse_lines(lines, first_line: int = 1, declared: int | None = None):
+    """The line loop: (declared count or None, src, dst, weight) of
+    ``lines`` numbered from ``first_line``, after lines that declared
+    ``declared``."""
     srcs, dsts, ws = array("q"), array("q"), array("d")
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(lines, first_line):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -401,12 +531,14 @@ def _parse_lines(lines):
 
 def read_edge_list(path, *, weighted: bool = False,
                    drop_self_loops: bool = False) -> DirectedGraph:
-    """:func:`parse_edge_list` from a file path.  The file is read as
-    bytes, and its text is decoded (UTF-8, universal newlines) only where
-    the line loop runs."""
+    """:func:`parse_edge_list` from a file path, opened once.  The file is
+    read as bytes in blocks of about ``_READ_BYTES``, and its text is
+    decoded (UTF-8, universal newlines) only where the line loop runs.
+    An unweighted read of sorted links without repeats, as
+    :func:`write_edge_list` writes them, builds the graph's layout block
+    by block and holds neither the file nor a whole-length column."""
     with open(path, "rb") as fp:
-        links = _links(fp.read(), decode_file, drop_self_loops)
-    return DirectedGraph.from_links(*links, weighted=weighted)
+        return _read(fp, decode_file, weighted, drop_self_loops)
 
 
 def write_edge_list(g: DirectedGraph, destination) -> None:

@@ -172,10 +172,15 @@ def normalized_links(at_tail, weight, alpha: float) -> np.ndarray:
 
 def tail_strength(graph: DirectedGraph) -> np.ndarray:
     """Each column's strength for PageRank's operator of ``graph``.  A
-    weighted strength adds its links' weights in link order."""
+    weighted strength adds its links' weights in link order, one block of
+    whole rows at a time."""
     if graph.weighted:
-        strength = np.bincount(graph.src, weights=graph.weight,
-                               minlength=graph.node_count + 1)[1:]
+        strength = np.zeros(graph.node_count)
+        for links, tails, _ in graph.link_blocks():
+            first = tails[0]
+            tails -= first
+            sums = np.bincount(tails, weights=graph.weight[links])
+            strength[first:first + sums.size] = sums
     else:  # integer sums, exact in any order
         strength = graph.out_degree.astype(np.float64)
     return strength

@@ -13,6 +13,8 @@ from hypothesis import given
 
 from chei2d import TwoDRanking, _bulk, read_edge_list, read_rank_table
 from chei2d._bulk import write_rows
+from chei2d.cli import main
+from chei2d.graph import _READ_BYTES
 from conftest import bernoulli_graph
 from oracle import reference_rows, serialize_rank_table
 
@@ -169,3 +171,16 @@ def test_readers_read_a_drained_pipe_once():
             os.close(r)
     assert results[0] == 4
     assert results[1] == read_rank_table(io.StringIO(table.decode()))[0].K.tolist()
+
+
+def test_rank_of_a_fifo_names_a_malformed_line_past_the_first_block(tmp_path, capsys):
+    lines = [f"{i} {i % 997 + 1}\n" for i in range(1, 60_001)]
+    bad = 50_000
+    lines[bad - 1] = "1 2 x y\n"
+    data = "".join(lines).encode()
+    assert len("".join(lines[:bad]).encode()) > _READ_BYTES
+    out = tmp_path / "out"
+    code = _read_fifo(tmp_path / "edges", data, lambda p: main(["rank", str(p), "--out", str(out)]))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: line {bad}: ") and "Traceback" not in err

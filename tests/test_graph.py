@@ -612,3 +612,199 @@ def test_read_edge_list_holds_no_decoded_text(tmp_path):
     # graph the rows become (8 B/link, 8 B/node).  One decoded copy of the
     # text (a byte per byte of the file) exceeds the slack.
     assert peak <= size + 24 * g.link_count + 8 * (g.node_count + 1) + 262_144
+
+
+# -- the read in blocks against the line loop -----------------------------------
+
+
+def _in_blocks(read_bytes, parse, *args, **kwargs):
+    """``parse(*args, **kwargs)`` with edge lists read ``read_bytes`` at a
+    time."""
+    with mock.patch.object(graph_module, "_READ_BYTES", read_bytes):
+        return parse(*args, **kwargs)
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge-list text whose links often come sorted by (src, dst), as
+    write_edge_list writes them, sometimes with repeats, blank lines,
+    comments, a header or weights."""
+    lines = draw(link_lines(max_nodes=12, max_links=60))
+    order = draw(st.sampled_from(["sorted", "sorted with repeats", "as drawn"]))
+    if order == "sorted":
+        lines = sorted(set(lines))
+    elif order == "sorted with repeats":
+        lines = sorted(lines)
+    rows = [f"{s} {d}" for s, d in lines]
+    for i in draw(st.lists(st.integers(0, len(rows)), max_size=3)):
+        rows[i:i] = [draw(st.sampled_from(["", " \t ", "# comment"]))]
+    if rows and draw(st.booleans()):
+        for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=5)):
+            rows[i] += draw(st.sampled_from([" 0.5", " 2", " 1e-3"]))
+    head = draw(st.sampled_from(["", "N 12\n", "# c\n\nN 7\n"]))
+    return head + "".join(row + "\n" for row in rows)
+
+
+@pytest.mark.filterwarnings("error")
+@given(edge_lists(), st.sampled_from([1, 3, 8, 32]), st.booleans(), st.booleans())
+def test_read_in_small_blocks_matches_line_loop(text, read_bytes, weighted, drop_self_loops):
+    bulk, _, loop = _in_blocks(read_bytes, _bulk_and_loop, text, weighted=weighted,
+                               drop_self_loops=drop_self_loops)
+    _assert_same(bulk, loop)
+
+
+@given(link_lines(max_nodes=15), st.sampled_from([1, 3, 8, 32, 1 << 18]), st.booleans())
+def test_read_in_blocks_keeps_every_line(lines, read_bytes, newline_at_end):
+    # checked against the links themselves: the line loop reads the same blocks
+    text = "N 15\n" + "\n".join(f"{s} {d}" for s, d in lines) + "\n" * newline_at_end
+    src, dst = [s for s, _ in lines], [d for _, d in lines]
+    expected = DirectedGraph.from_links(15, src, dst)
+    assert _in_blocks(read_bytes, parse_edge_list, text) == expected
+
+
+def _sorted_body(links: int = 240, nodes: int = 40) -> list[str]:
+    """The lines of a write_edge_list file: a header, then distinct links
+    sorted by (src, dst)."""
+    rng = np.random.default_rng(links)
+    g = DirectedGraph.from_links(nodes, rng.integers(1, nodes + 1, links),
+                                 rng.integers(1, nodes + 1, links))
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+_DEEP = 180  # a line well past the first blocks of the reads below
+
+
+def _edited(edit) -> str:
+    lines = _sorted_body()
+    assert len(lines) > _DEEP + 20
+    edit(lines)
+    return "".join(lines)
+
+
+def _replace(text):
+    def edit(lines):
+        lines[_DEEP] = text
+    return edit
+
+
+def _insert(text):
+    def edit(lines):
+        lines[_DEEP:_DEEP] = [text]
+    return edit
+
+
+def _swap(lines):
+    lines[_DEEP], lines[_DEEP + 1] = lines[_DEEP + 1], lines[_DEEP]
+
+
+def _repeat(lines):
+    lines[_DEEP:_DEEP] = [lines[_DEEP]]
+
+
+def _hub(lines):
+    # a row of 200 links, longer than many blocks, between rows of others
+    src = int(lines[_DEEP].split()[0])
+    body = [line for line in lines[1:] if int(line.split()[0]) != src]
+    row = [f"{src} {d}\n" for d in range(1, 201)]
+    at = next(i for i, line in enumerate(body) if int(line.split()[0]) > src)
+    lines[1:] = body[:at] + row + body[at:]
+
+
+def _weights(lines):
+    for i in range(_DEEP, len(lines), 3):
+        lines[i] = lines[i].rstrip("\n") + " 2.5\n"
+
+
+def _weight_before_the_end(lines):
+    lines[-2] = lines[-2].rstrip("\n") + " 0.25\n"
+
+
+def _self_loops(lines):
+    for i in range(1, len(lines), 7):
+        src = lines[i].split()[0]
+        lines[i] = f"{src} {src}\n"
+    lines[1:] = sorted(set(lines[1:]), key=lambda line: tuple(map(int, line.split())))
+
+
+@pytest.mark.parametrize("edit", [
+    _replace("not numbers\n"),
+    _replace("1 2 3 4\n"),
+    _replace("7\n"),
+    _replace("1 2 3\n4\n"),  # as many values as two 2-field lines
+    _replace("3 0\n"),
+    _replace(_sorted_body()[_DEEP].rstrip("\n") + "\r\n"),
+    _replace(_sorted_body()[_DEEP].rstrip("\n") + "\r"),
+    _insert("# a late comment\n"),
+    _insert("N 99\n"),
+    _insert("N 3\n"),
+    _replace("40 99999999999999999999\n"),
+    _replace("1 9223372036854775807\n"),
+    _insert(" \t \n" * 60),
+    _swap,
+    _repeat,
+    _hub,
+    _weights,
+    _weight_before_the_end,
+    _self_loops,
+    lambda lines: None,
+], ids=["malformed", "four fields", "one field", "three and one fields", "zero id", "crlf",
+        "lone cr", "late comment", "late header", "late small header", "20-digit id",
+        "int64 max", "whitespace block", "unsorted", "repeat", "hub row", "weighted tail",
+        "one weight", "self-loops", "unedited"])
+@pytest.mark.parametrize("read_bytes", [1, 16, 64, 1 << 18])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("drop_self_loops", [False, True])
+@pytest.mark.filterwarnings("error")
+def test_deep_edits_in_blocks_match_line_loop(edit, read_bytes, weighted, drop_self_loops):
+    text = _edited(edit)
+    bulk, accepted, loop = _in_blocks(read_bytes, _bulk_and_loop, text, weighted=weighted,
+                                      drop_self_loops=drop_self_loops)
+    _assert_same(bulk, loop)
+    if read_bytes < len(text) // 2:
+        assert accepted  # the blocks before the edit are read in bulk
+
+
+@pytest.mark.parametrize("edits, first_bad", [
+    ({_DEEP: "2 \xff3\n"}, _DEEP + 1),
+    ({_DEEP: "# caf\xc3\n"}, _DEEP + 1),
+    # a malformed line before the bad byte: the bad byte is still named
+    ({_DEEP - 10: "bad\n", _DEEP: "\xf0\x9f\n"}, _DEEP + 1),
+    # universal newlines count a carriage return as a line end
+    ({_DEEP - 10: "1 2\r3 4\r\n", _DEEP: "1 2\r\n2 \xff3\r\n"}, _DEEP + 3),
+])
+@pytest.mark.parametrize("read_bytes", [1, 16, 1 << 18])
+def test_read_in_blocks_names_the_line_of_invalid_utf8(tmp_path, edits, first_bad, read_bytes):
+    lines = _sorted_body()
+    for i, text in edits.items():
+        lines[i] = text
+    path = tmp_path / "edges.txt"
+    path.write_bytes("".join(lines).encode("latin-1"))
+    assert first_undecodable_line(path) == first_bad
+    with mock.patch.object(graph_module, "_READ_BYTES", read_bytes):
+        with pytest.raises(ValueError, match=f"^line {first_bad}: invalid UTF-8"):
+            read_edge_list(path)
+
+
+@pytest.mark.parametrize("read_bytes", [1, 16, 1 << 18])
+def test_read_in_blocks_is_read_as_text_mode(tmp_path, read_bytes):
+    lines = _sorted_body()
+    lines[_DEEP] = lines[_DEEP].rstrip("\n") + "\r\n"
+    lines[_DEEP + 5] = lines[_DEEP + 5].rstrip("\n") + "\r"
+    path = tmp_path / "edges.txt"
+    path.write_bytes("".join(lines).encode())
+    with mock.patch.object(graph_module, "_READ_BYTES", read_bytes):
+        assert read_edge_list(path) == _read_text_mode(path)
+
+
+def test_sorted_read_builds_the_layout_of_from_links(tmp_path):
+    g = synth_scale_free(2_000, 2.1, 2.7, 3, links=20_000)
+    path = tmp_path / "edges.txt"
+    write_edge_list(g, path)
+    with mock.patch.object(graph_module, "_READ_BYTES", 4096):
+        back = read_edge_list(path)
+    assert back == g and back.collapsed_duplicates == 0
+    assert back.heads.dtype == g.heads.dtype and back.indptr.dtype == g.indptr.dtype
+    assert not back.heads.flags.writeable and not back.indptr.flags.writeable
+    assert back.weight.strides == (0,)

@@ -17,7 +17,14 @@ bounds are N-long, cells x cells and ``_BLOCK_LINKS``-long terms with no
 per-link term; before the walk these passes peaked at 25.0-25.9 B/link (the
 fraction curve), 18.6 (the flow field) and 29.2 (the render), and
 ``filtered_cheirank`` at 27.6, set by the mask's whole-length endpoint
-values.
+values.  A weighted render sums its strengths block by block too; it
+peaked at 25.7 B/link while they were summed over a whole-length
+``src``.
+
+The edge-list read takes its file ``_READ_BYTES`` at a time, and sorted
+links go straight into the graph's layout, so its per-link term is the
+int32 heads alone; holding the file and the parse's rows whole, it
+peaked at 28.5 B/link.
 """
 
 import os
@@ -40,7 +47,8 @@ from chei2d import (
     synth_scale_free,
     write_edge_list,
 )
-from chei2d.graph import _BLOCK_LINKS
+from chei2d._bulk import write_rows
+from chei2d.graph import _BLOCK_LINKS, _READ_BYTES
 
 _SLACK = 262_144
 
@@ -133,6 +141,42 @@ def test_matrix_density_render_holds_one_block(solved):
     # value, cell and endpoint ranks
     peak = _peak(lambda: matrix_density_render(g, r.K, cells=cells))
     assert peak <= 32 * g.node_count + 24 * cells * cells + 48 * _BLOCK_LINKS + _SLACK
+
+
+def test_weighted_matrix_density_render_holds_one_block(solved):
+    g, r = solved
+    weights = np.random.default_rng(5).random(g.link_count) + 0.5
+    weighted = DirectedGraph.from_links(g.node_count, g.src, g.dst, weights, weighted=True)
+    cells = 500
+    # the unweighted render's bound: the strengths are summed block by
+    # block too, where a whole-length int64 src was 8 B/link more
+    peak = _peak(lambda: matrix_density_render(weighted, r.K, cells=cells))
+    assert peak <= 32 * g.node_count + 24 * cells * cells + 48 * _BLOCK_LINKS + _SLACK
+
+
+def test_read_edge_list_holds_the_heads_and_one_block(solved, tmp_path):
+    g, _ = solved
+    path = tmp_path / "edges.txt"
+    write_edge_list(g, path)
+    # The int32 heads, their buffer grown by up to a sixteenth; per node,
+    # the blocks' row counts and the offsets; the block read and its
+    # parse.  The file's bytes and the parse's 16 B/link rows held whole
+    # were 28.5 B/link.
+    peak = _peak(lambda: read_edge_list(path))
+    assert peak <= 4.25 * g.link_count + 20 * g.node_count + 8 * _READ_BYTES + _SLACK
+
+
+def test_read_of_unsorted_edge_list_peak(solved, tmp_path):
+    g, _ = solved
+    order = np.random.default_rng(3).permutation(g.link_count)
+    path = tmp_path / "edges.txt"
+    with open(path, "w") as fp:
+        fp.write(f"N {g.node_count}\n")
+        write_rows(fp, [], g.src[order], g.dst[order], sep=" ")
+    # from_links's sort of the links, read as whole columns: no more than
+    # the 46.3 B/link of reading the file whole and parsing it in one call
+    peak = _peak(lambda: read_edge_list(path))
+    assert peak <= 46.3 * g.link_count
 
 
 def test_dropping_self_loops_keeps_unit_weights_implicit(tmp_path):
