@@ -318,12 +318,16 @@ def cmd_synth(args):
     return files, {"node_count": g.node_count, "link_count": g.link_count}, {}
 
 
-def cmd_rerun(args) -> int:
+def _recorded_argv(args) -> list[str]:
+    """The argv a manifest recorded, its ``--out`` replaced by ``args.out``
+    when that is given."""
     with open(args.manifest, "r", encoding="utf-8") as fp:
         manifest = json.load(fp)
-    recorded = list(manifest.get("argv", []))
-    if not recorded:
+    if not isinstance(manifest, dict) or not manifest.get("argv"):
         raise ValueError("manifest carries no argv to replay")
+    recorded = manifest["argv"]
+    if not isinstance(recorded, list) or not all(isinstance(a, str) for a in recorded):
+        raise ValueError("manifest argv must be a list of strings")
     if args.out is not None:
         if "--out" in recorded:
             i = recorded.index("--out")
@@ -332,7 +336,7 @@ def cmd_rerun(args) -> int:
             recorded[i + 1] = args.out
         else:
             recorded += ["--out", args.out]
-    return main(recorded)
+    return recorded
 
 
 # -- parser ------------------------------------------------------------------
@@ -442,7 +446,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "rerun":
-            return cmd_rerun(args)
+            argv = _recorded_argv(args)
+            args = parser.parse_args(argv)
+            if args.command == "rerun":
+                raise UsageError("a manifest cannot replay rerun")
         started = time.perf_counter()
         files, extra, vectors = args.func(args)
         out = Path(args.out)

@@ -5,6 +5,10 @@ materializing an N x N matrix: real links live in a sparse matrix and
 dangling columns are folded into a per-application scalar.  CheiRank is,
 by definition, the PageRank of the link-reversed graph, computed from
 the graph's own links with tail and head swapped.
+
+scipy is imported by the two operator builders alone, so it loads at a
+process's first :class:`StochasticOperator` build: importing chei2d, and
+the commands that build no operator, do without its import time.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import DirectedGraph
 
@@ -209,6 +212,8 @@ def _unweighted_matrix(graph: DirectedGraph, alpha: float, swap):
     valued ``alpha / s`` of its tail column, as :func:`normalized_links`
     values a unit weight, times its count; ``x * 2 == x + x``, so the
     values equal the summed links' bit for bit."""
+    import scipy.sparse as sp
+
     n, heads = graph.node_count, graph.heads
     if np.ndim(swap):
         # the swapped links before each row start
@@ -260,6 +265,8 @@ def _summed_matrix(graph: DirectedGraph, alpha: float, swap):
     (head, tail, weight) order, which adds each tail's and each entry's
     links in the same order, and an unweighted graph's sums are exact
     integers of equal duplicates."""
+    import scipy.sparse as sp
+
     n, weight, dst = graph.node_count, graph.weight, graph.heads
     src = graph.at_source(np.arange(n, dtype=dst.dtype))
     tail = np.where(swap, dst, src)

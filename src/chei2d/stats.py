@@ -153,7 +153,8 @@ class Histogram:
 def component_histogram(
     values, bins: int = 200, lo: float = 1e-8, hi: float = 1e2
 ) -> Histogram:
-    """Histogram with equal-width bins in log10 space over [lo, hi].
+    """Histogram with equal-width bins in log10 space over [lo, hi],
+    where ``0 < lo < hi`` and ``hi`` is finite.
 
     Bins are right-open except the last, which is closed so ``hi`` lands
     inside.  Values outside [lo, hi] (or non-finite) count toward
@@ -163,6 +164,8 @@ def component_histogram(
         raise ValueError("bins must be >= 1")
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
+    if not np.isfinite(hi):
+        raise ValueError("hi must be finite")
     v = np.asarray(values, dtype=np.float64)
     log_lo, log_hi = np.log10(lo), np.log10(hi)
     edges = 10.0 ** np.linspace(log_lo, log_hi, bins + 1)
@@ -236,16 +239,16 @@ class DensityGrid:
         write_rows(fp, header, *self.values.T, sep=",")
 
     def to_json(self, fp) -> None:
-        json.dump(
+        # json.dumps takes the C encoder; json.dump, the pure-Python one
+        fp.write(json.dumps(
             {
                 "scale": self.scale,
                 "cells": self.cells,
                 "normalization": self.normalization,
                 "values": self.values.tolist(),
             },
-            fp,
             sort_keys=True,
-        )
+        ))
         fp.write("\n")
 
 

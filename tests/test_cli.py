@@ -358,6 +358,51 @@ def test_rerun_reproduces_outputs(cycle_file, tmp_path):
     assert (first / "ranks.tsv").read_bytes() == (again / "ranks.tsv").read_bytes()
 
 
+def _manifest_file(tmp_path, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+@pytest.mark.parametrize("manifest, message", [
+    (["stats", "ranks.tsv"], "manifest carries no argv to replay"),
+    ({"argv": []}, "manifest carries no argv to replay"),
+    ({"argv": [1, 2]}, "manifest argv must be a list of strings"),
+    ({"argv": "stats"}, "manifest argv must be a list of strings"),
+    ({"argv": ["stats", "--out"]}, "manifest argv ends with a dangling --out"),
+])
+def test_rerun_rejects_malformed_manifest(tmp_path, capsys, manifest, message):
+    path = _manifest_file(tmp_path, manifest)
+    assert run("rerun", path, "--out", tmp_path / "o") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_rerun_of_a_recorded_rerun_does_not_recurse(tmp_path, capsys):
+    # the manifest names itself: a replay that ran it would never end
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"argv": ["rerun", str(path)]}))
+    assert run("rerun", path) == 1
+    assert capsys.readouterr().err == "error: a manifest cannot replay rerun\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags, message", [
+    (["--hist-hi", "inf"], "hi must be finite"),
+    (["--hist-hi", "1e400"], "hi must be finite"),
+    (["--hist-hi", "nan"], "need 0 < lo < hi"),
+    (["--hist-lo", "inf"], "need 0 < lo < hi"),
+    (["--hist-lo", "0"], "need 0 < lo < hi"),
+])
+def test_stats_rejects_bad_histogram_bounds(chain_file, tmp_path, capsys, flags, message):
+    ranks = tmp_path / "r"
+    assert run("rank", chain_file, "--out", ranks) == 0
+    capsys.readouterr()
+    out = tmp_path / "s"
+    assert run("stats", ranks / "ranks.tsv", *flags, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 1
 
