@@ -2,13 +2,12 @@
 
 The edge-list and rank-table readers each keep a line loop that is the
 only source of their accept/reject rules and error messages.  This
-module is their fast path, on bytes: :func:`leading_block_end` finds
-where a file's header and comment lines end, and :func:`load_rows` has
-numpy's C text parsers read the lines after them.  It declines (returns
-None) any text it could read differently from the line loop, which then
-parses the decoded text from there on; only then is the text decoded.
-The edge-list reader hands it a file block by block, the rank-table
-reader its whole body at once.
+module is their fast path, on bytes: :func:`read_blocks` takes a file
+block by block, sets aside its header and comment lines, and has a bulk
+parse such as :func:`load_rows` (numpy's C text parsers) read each block
+after them.  A parse declines (returns None) any block it could read
+differently from the line loop, which then parses the decoded text from
+there on; only then is the text decoded.
 
 :func:`write_rows` writes the rows of every data file.  Per chunk of
 rows it fills a fixed-width byte matrix, one row per line: integers as
@@ -21,6 +20,7 @@ from __future__ import annotations
 
 import io
 import warnings
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -28,8 +28,9 @@ import numpy as np
 _DIGITS_AND_WHITESPACE = b"0123456789 \t\n"
 # Rows write_rows formats at once: a few MB of bytes and float reprs.
 _CHUNK_ROWS = 1 << 14
-# Body bytes load_rows checks at once.
-_CHECK_BYTES = 1 << 20
+# Bytes a reader takes from its file at once; the block of lines cut
+# from them and its parse hold about seven times that.
+_READ_BYTES = 1 << 18
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -97,6 +98,53 @@ def _int_bytes(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _blocks(fp):
+    """The bytes of the binary stream ``fp``, read ``_READ_BYTES`` at a
+    time, in blocks of whole lines; the last block ends where the stream
+    does."""
+    pending = []  # reads since the last newline
+    while chunk := fp.read(_READ_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            block = b"".join([*pending, memoryview(chunk)[:cut]])
+            pending = [chunk[cut:]]
+            del chunk  # not held while the block is parsed
+            yield block
+        else:
+            pending.append(chunk)
+    if any(pending):
+        yield b"".join(pending)
+
+
+def read_blocks(fp, is_head, load, add, decode) -> tuple[str, str, int]:
+    """``(head, rest, first_line)`` of the binary stream ``fp``, read once
+    in blocks.  ``head`` is the text of the leading block of lines that
+    pass ``is_head`` (see :func:`leading_block_end`).  ``load(block,
+    start)`` parses each body block from offset ``start`` and ``add``
+    takes each parse, until ``load`` declines (returns None).  ``rest``
+    is the text from there on, from 1-based line ``first_line``, both
+    made by ``decode(data, first_line)``.  The caller's line loop reads
+    ``head``, then ``rest``: every outcome and error is the line loop's."""
+    blocks = _blocks(fp)
+    head = bytearray()
+    for block in blocks:
+        start = leading_block_end(block, is_head)
+        head += block[:start]
+        if start < len(block):
+            break
+    else:
+        block, start = b"", 0  # no body
+    lines = head.count(b"\n") + 1  # the line at ``start``
+    for block in chain([block], blocks):
+        parsed = load(block, start)
+        if parsed is None:
+            return decode(head, 1), decode(b"".join([block[start:], *blocks]), lines), lines
+        add(parsed)
+        lines += block.count(b"\n", start)
+        start = 0
+    return decode(head, 1), "", lines
+
+
 def leading_block_end(data: bytes, is_head) -> int:
     """Offset of the first line of ``data`` whose stripped bytes fail
     ``is_head`` or that holds a carriage return; ``len(data)`` when no
@@ -115,10 +163,10 @@ def leading_block_end(data: bytes, is_head) -> int:
 
 def load_rows(data: bytes, start: int, symbols: bytes,
               dtype: np.dtype) -> np.ndarray | None:
-    """One ``dtype`` record per non-blank line of ``data`` from offset
-    ``start`` on, or None.
+    """One ``dtype`` record per non-blank line of the block ``data`` from
+    offset ``start`` on, or None.
 
-    None when the body is empty, holds a byte other than ASCII digits,
+    None when that part is empty, holds a byte other than ASCII digits,
     space, tab, newline and ``symbols``, or when numpy rejects it: a
     line whose field count differs from ``dtype``'s, an integer outside
     int64 or a malformed number.  Those bytes rule out what Python's
@@ -126,15 +174,12 @@ def load_rows(data: bytes, start: int, symbols: bytes,
     digits, ``inf``/``nan``) and carriage returns, which a line loop over
     a string does not split on.  Rows of int64 fields alone are parsed
     by :func:`_integer_rows`, and by ``np.loadtxt`` from a stream over
-    ``data`` where that declines, as other rows are.  The body is checked
-    in chunks, and neither parse copies it whole.
+    ``data`` where that declines, as other rows are.
     """
     if start >= len(data):
         return None
-    allowed = _DIGITS_AND_WHITESPACE + symbols
-    for pos in range(start, len(data), _CHECK_BYTES):
-        if data[pos:pos + _CHECK_BYTES].translate(None, allowed):
-            return None
+    if data[start:].translate(None, _DIGITS_AND_WHITESPACE + symbols):
+        return None
     if not symbols and all(dtype[name] == np.int64 for name in dtype.names):
         rows = _integer_rows(data, start, dtype)
         if rows is not None:
@@ -143,11 +188,11 @@ def load_rows(data: bytes, start: int, symbols: bytes,
     stream.seek(start)
     # At most one row per line: given that bound, numpy allocates the rows
     # once instead of growing a buffer, and warns that blank lines do not
-    # count toward it.
+    # count toward it, and that a block of them alone holds no rows.
     lines = data.count(b"\n", start) + 1
     try:
         with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "Input line", UserWarning)
+            warnings.filterwarnings("ignore", "Input line|loadtxt: input contained", UserWarning)
             return np.loadtxt(stream, dtype=dtype, ndmin=1, max_rows=lines)
     except ValueError:
         return None
@@ -196,9 +241,9 @@ def encode_text(text: str) -> bytes:
     return text.encode("utf-8", "surrogatepass")
 
 
-def decode_text(data: bytes) -> str:
+def decode_text(data: bytes, first_line: int = 1) -> str:
     """Inverse of :func:`encode_text`: the text exactly as handed over,
-    carriage returns included."""
+    carriage returns included; ``first_line``, as in :func:`decode_file`, is unused."""
     return data.decode("utf-8", "surrogatepass")
 
 

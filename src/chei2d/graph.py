@@ -18,7 +18,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -27,8 +26,8 @@ from ._bulk import (
     decode_file,
     decode_text,
     encode_text,
-    leading_block_end,
     load_rows,
+    read_blocks,
     write_rows,
 )
 
@@ -51,9 +50,6 @@ _WEIGHTED_LINK_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", 
 # Links per block of :meth:`DirectedGraph.link_blocks`, a few MB of
 # per-link temporaries for the passes that walk the links.
 _BLOCK_LINKS = 1 << 17
-# Bytes an edge-list read takes from its file at once; the block of lines
-# cut from them and its parse hold about seven times that.
-_READ_BYTES = 1 << 18
 
 
 class EdgeListParseError(ValueError):
@@ -319,62 +315,17 @@ def parse_edge_list(
     non-positive weights, empty input without a header).
     """
     text = source if isinstance(source, str) else source.read()
-    return _read(io.BytesIO(encode_text(text)), lambda data, _: decode_text(data),
-                 weighted, drop_self_loops)
-
-
-def _blocks(fp):
-    """The bytes of the binary stream ``fp``, read ``_READ_BYTES`` at a
-    time, in blocks of whole lines; the last block ends where the stream
-    does."""
-    pending = []  # reads since the last newline
-    while chunk := fp.read(_READ_BYTES):
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            block = b"".join([*pending, memoryview(chunk)[:cut]])
-            pending = [chunk[cut:]]
-            del chunk  # not held while the block is parsed
-            yield block
-        else:
-            pending.append(chunk)
-    if any(pending):
-        yield b"".join(pending)
+    return _read(io.BytesIO(encode_text(text)), decode_text, weighted, drop_self_loops)
 
 
 def _read(fp, decode, weighted: bool, drop_self_loops: bool) -> DirectedGraph:
-    """The graph of the edge list in the binary stream ``fp``, read once,
-    block by block.  ``decode(data, first_line)`` turns bytes that start
-    at line ``first_line`` into the text the line loop reads.
-
-    The leading block of header and comment lines is set aside, and the
-    body's blocks are read in bulk until one declines; the line loop
-    then reads the rest of the stream.  The leading block's text is
-    decoded and parsed last, so that every outcome, errors and their
-    line numbers included, is that of the line loop on the whole text.
-    """
-    blocks = _blocks(fp)
-    head = bytearray()
-    for block in blocks:
-        start = leading_block_end(block, _is_head_line)
-        head += block[:start]
-        if start < len(block):
-            break
-    else:
-        block, start = b"", 0  # no body
+    """The graph of the edge list in the binary stream ``fp``, read by
+    :func:`read_blocks` with ``decode``."""
     links = _LinkRows(weighted, drop_self_loops)
-    lines = head.count(b"\n")  # lines before the one at ``start``
-    rest = b""
-    for block in chain([block], blocks):
-        parsed = _load_links(block, start)
-        if parsed is None:
-            rest = b"".join([block[start:], *blocks])
-            break
-        links.add(*parsed)
-        lines += block.count(b"\n", start)
-        start = 0
-    head_text, rest_text = decode(head, 1), decode(rest, lines + 1)
-    declared, *_ = _parse_lines(io.StringIO(head_text))
-    declared, *parsed = _parse_lines(io.StringIO(rest_text), lines + 1, declared)
+    head, rest, first_line = read_blocks(fp, _is_head_line, _load_links,
+                                         lambda p: links.add(*p), decode)
+    declared, *_ = _parse_lines(io.StringIO(head))
+    declared, *parsed = _parse_lines(io.StringIO(rest), first_line, declared)
     links.add(*parsed)
     if links.max_id == 0 and declared is None:
         raise ValueError("empty edge list and no 'N <count>' header")
@@ -532,7 +483,7 @@ def _parse_lines(lines, first_line: int = 1, declared: int | None = None):
 def read_edge_list(path, *, weighted: bool = False,
                    drop_self_loops: bool = False) -> DirectedGraph:
     """:func:`parse_edge_list` from a file path, opened once.  The file is
-    read as bytes in blocks of about ``_READ_BYTES``, and its text is
+    read as bytes in blocks (see :func:`read_blocks`), and its text is
     decoded (UTF-8, universal newlines) only where the line loop runs.
     An unweighted read of sorted links without repeats, as
     :func:`write_edge_list` writes them, builds the graph's layout block

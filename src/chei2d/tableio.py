@@ -9,7 +9,7 @@ so a table re-read reproduces the vectors bit for bit.
 from __future__ import annotations
 
 import io
-from array import array
+import struct
 from typing import IO
 
 import numpy as np
@@ -18,8 +18,8 @@ from ._bulk import (
     decode_file,
     decode_text,
     encode_text,
-    leading_block_end,
     load_rows,
+    read_blocks,
     write_rows,
 )
 from .ranking import RankVector, TwoDRanking
@@ -27,9 +27,17 @@ from .ranking import RankVector, TwoDRanking
 __all__ = ["write_rank_table", "read_rank_table"]
 
 _MAGIC = "chei2d-rank-table"
-# One row of the bulk table parse: node_id P K Pstar Kstar.
+# One row of a table, as both parses give it: node_id P K Pstar Kstar.
 _ROW = np.dtype([("node", np.int64), ("p", np.float64), ("k", np.int64),
                  ("pstar", np.float64), ("kstar", np.int64)])
+_RECORD = struct.Struct("=qdqdq")  # the bytes of one _ROW record
+# The header values that become RankVector fields, by key suffix: a check
+# of the value and what it must be.
+_HEADER_VALUES = {
+    "_iterations": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    "_residual": (lambda v: type(v) in (int, float), "a number"),
+    "_converged": (lambda v: type(v) is int and v in (0, 1), "0 or 1"),
+}
 
 
 def _format_value(value) -> str:
@@ -91,28 +99,35 @@ def read_rank_table(source) -> tuple[TwoDRanking, dict]:
     not finite, and when K or K* is not the rank order of its probability
     column (descending, ties by node id)."""
     if hasattr(source, "read"):
-        return _read(encode_text(source.read()), decode_text)
+        return _read(io.BytesIO(encode_text(source.read())), decode_text)
     with open(source, "rb") as fp:
-        return _read(fp.read(), decode_file)
+        return _read(fp, decode_file)
 
 
-def _read(data: bytes, decode) -> tuple[TwoDRanking, dict]:
-    """``decode`` turns bytes into the text the line loop reads; it runs
-    on the leading block alone when the body is read in bulk."""
-    start = leading_block_end(data, lambda line: not line or line.startswith(b"#"))
-    rows = load_rows(data, start, b".eE+-", _ROW)
-    if rows is None:
-        params, columns = _parse_lines(io.StringIO(decode(data)))
-    else:
-        params, _ = _parse_lines(io.StringIO(decode(data[:start])))
-        columns = [rows[name] for name in _ROW.names]
-    node_id, p, k, ps, ks = columns
-    if not node_id.size:
+def _read(fp, decode) -> tuple[TwoDRanking, dict]:
+    """The table in the binary stream ``fp``, read by :func:`read_blocks` with ``decode``."""
+    parts = []
+    head, rest, first_line = read_blocks(
+        fp, lambda line: not line or line.startswith(b"#"),
+        lambda block, start: load_rows(block, start, b".eE+-", _ROW), parts.append, decode)
+    header, _ = _parse_lines(io.StringIO(head), 1, {})
+    header, tail = _parse_lines(io.StringIO(rest), first_line, header)
+    rows = np.concatenate([*parts, tail])
+    del parts, tail
+    n, node = rows.size, rows["node"]
+    if not n:
         raise ValueError("rank table holds no data rows")
-    if not np.array_equal(np.sort(node_id), np.arange(1, node_id.size + 1)):
+    line, declared = header.get("N", (None, n))
+    if type(declared) is not int or declared != n:
+        raise ValueError(f"rank table line {line}: N={declared}, but the table holds {n} rows")
+    params = {key: value for key, (_, value) in header.items()}
+    by_node = np.full(n, -1)  # each node's row: the ids' inverse permutation
+    if np.all((node >= 1) & (node <= n)):
+        by_node[node - 1] = np.arange(n)
+    if np.any(by_node < 0):
         raise ValueError("rank table node ids must cover 1..N exactly once")
-    by_node = np.argsort(node_id)
-    p, k, ps, ks = p[by_node], k[by_node], ps[by_node], ks[by_node]
+    p, k, ps, ks = (rows[name][by_node] for name in ("p", "k", "pstar", "kstar"))
+    del rows, node, by_node
 
     def build(name: str, prob: np.ndarray, index: np.ndarray, column: str) -> RankVector:
         return RankVector(
@@ -144,26 +159,31 @@ def _rank_permutation(prob: np.ndarray, index: np.ndarray, column: str) -> np.nd
     raise ValueError(f"rank table {column} column is not the rank order of its probabilities")
 
 
-def _parse_lines(lines) -> tuple[dict, list[np.ndarray]]:
-    """The line loop: header parameters and the five columns in file order."""
-    params: dict = {}
-    columns = [array(code) for code in "qdqdq"]
-    for lineno, raw in enumerate(lines, 1):
+def _parse_lines(lines, first_line: int, header: dict):
+    """The line loop: ``header`` plus the header parameters of ``lines``
+    numbered from ``first_line``, each as ``(line, value)``, and their rows
+    in file order."""
+    rows = bytearray()
+    for lineno, raw in enumerate(lines, first_line):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" in body:
-                key, _, value = body.partition("=")
-                params[key.strip()] = _coerce(value.strip())
+                key, _, text = (part.strip() for part in body.partition("="))
+                value = _coerce(text)
+                for suffix, (valid, wanted) in _HEADER_VALUES.items():
+                    if key.endswith(suffix) and not valid(value):
+                        raise ValueError(f"rank table line {lineno}: {key}={text} is not {wanted}")
+                header[key] = (lineno, value)
             continue
         tokens = line.split()
         if len(tokens) != 5:
             raise ValueError(f"rank table line {lineno}: expected 5 columns")
         try:
-            for column, cast, token in zip(columns, (int, float, int, float, int), tokens):
-                column.append(cast(token))
-        except (ValueError, OverflowError):
+            node, p, k, pstar, kstar = tokens
+            rows += _RECORD.pack(int(node), float(p), int(k), float(pstar), int(kstar))
+        except (ValueError, struct.error):
             raise ValueError(f"rank table line {lineno}: malformed values") from None
-    return params, [np.frombuffer(column, dtype=column.typecode) for column in columns]
+    return header, np.frombuffer(rows, dtype=_ROW)

@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given
 
 from chei2d import TwoDRanking, _bulk, read_edge_list, read_rank_table
-from chei2d._bulk import write_rows
+from chei2d._bulk import _READ_BYTES, write_rows
 from chei2d.cli import main
-from chei2d.graph import _READ_BYTES
 from conftest import bernoulli_graph
 from oracle import reference_rows, serialize_rank_table
 

@@ -403,6 +403,21 @@ def test_stats_rejects_bad_histogram_bounds(chain_file, tmp_path, capsys, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("# pagerank_iterations=", "# pagerank_iterations=1e400#"),
+    lambda text: text.replace("# N=", "# N=7#"),
+])
+def test_stats_rejects_bad_header_values_with_the_line(chain_file, tmp_path, capsys, edit):
+    ranks = tmp_path / "r"
+    assert run("rank", chain_file, "--out", ranks) == 0
+    table = ranks / "ranks.tsv"
+    table.write_text(edit(table.read_text()))
+    capsys.readouterr()
+    assert run("stats", table, "--out", tmp_path / "s") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rank table line ") and "Traceback" not in err
+
+
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 1
 

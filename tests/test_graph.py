@@ -15,6 +15,7 @@ from chei2d import (
     synth_scale_free,
     write_edge_list,
 )
+from chei2d import _bulk
 from chei2d import graph as graph_module
 from chei2d._bulk import load_rows
 from oracle import (
@@ -620,7 +621,7 @@ def test_read_edge_list_holds_no_decoded_text(tmp_path):
 def _in_blocks(read_bytes, parse, *args, **kwargs):
     """``parse(*args, **kwargs)`` with edge lists read ``read_bytes`` at a
     time."""
-    with mock.patch.object(graph_module, "_READ_BYTES", read_bytes):
+    with mock.patch.object(_bulk, "_READ_BYTES", read_bytes):
         return parse(*args, **kwargs)
 
 
@@ -782,7 +783,7 @@ def test_read_in_blocks_names_the_line_of_invalid_utf8(tmp_path, edits, first_ba
     path = tmp_path / "edges.txt"
     path.write_bytes("".join(lines).encode("latin-1"))
     assert first_undecodable_line(path) == first_bad
-    with mock.patch.object(graph_module, "_READ_BYTES", read_bytes):
+    with mock.patch.object(_bulk, "_READ_BYTES", read_bytes):
         with pytest.raises(ValueError, match=f"^line {first_bad}: invalid UTF-8"):
             read_edge_list(path)
 
@@ -794,7 +795,7 @@ def test_read_in_blocks_is_read_as_text_mode(tmp_path, read_bytes):
     lines[_DEEP + 5] = lines[_DEEP + 5].rstrip("\n") + "\r"
     path = tmp_path / "edges.txt"
     path.write_bytes("".join(lines).encode())
-    with mock.patch.object(graph_module, "_READ_BYTES", read_bytes):
+    with mock.patch.object(_bulk, "_READ_BYTES", read_bytes):
         assert read_edge_list(path) == _read_text_mode(path)
 
 
@@ -802,7 +803,7 @@ def test_sorted_read_builds_the_layout_of_from_links(tmp_path):
     g = synth_scale_free(2_000, 2.1, 2.7, 3, links=20_000)
     path = tmp_path / "edges.txt"
     write_edge_list(g, path)
-    with mock.patch.object(graph_module, "_READ_BYTES", 4096):
+    with mock.patch.object(_bulk, "_READ_BYTES", 4096):
         back = read_edge_list(path)
     assert back == g and back.collapsed_duplicates == 0
     assert back.heads.dtype == g.heads.dtype and back.indptr.dtype == g.indptr.dtype

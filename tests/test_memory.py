@@ -24,7 +24,9 @@ peaked at 25.7 B/link while they were summed over a whole-length
 The edge-list read takes its file ``_READ_BYTES`` at a time, and sorted
 links go straight into the graph's layout, so its per-link term is the
 int32 heads alone; holding the file and the parse's rows whole, it
-peaked at 28.5 B/link.
+peaked at 28.5 B/link.  The rank-table read takes its file the same way
+and holds two copies of its 40 B rows at most; read whole, it peaked at
+about 175 B/row.
 """
 
 import os
@@ -44,11 +46,13 @@ from chei2d import (
     matrix_density_render,
     measure_fraction_curve,
     read_edge_list,
+    read_rank_table,
     synth_scale_free,
     write_edge_list,
+    write_rank_table,
 )
-from chei2d._bulk import write_rows
-from chei2d.graph import _BLOCK_LINKS, _READ_BYTES
+from chei2d._bulk import _READ_BYTES, write_rows
+from chei2d.graph import _BLOCK_LINKS
 
 _SLACK = 262_144
 
@@ -164,6 +168,17 @@ def test_read_edge_list_holds_the_heads_and_one_block(solved, tmp_path):
     # were 28.5 B/link.
     peak = _peak(lambda: read_edge_list(path))
     assert peak <= 4.25 * g.link_count + 20 * g.node_count + 8 * _READ_BYTES + _SLACK
+
+
+def test_read_rank_table_holds_its_rows_twice_and_one_block(solved, tmp_path):
+    g, r = solved
+    path = tmp_path / "ranks.tsv"
+    write_rank_table(r, path)
+    # The blocks' 40 B rows and their concatenation; then the rows, each
+    # node's row index and the four columns in node order.  The file, its
+    # parse, sorted ids and their argsort, all whole, were about 175 B/row.
+    peak = _peak(lambda: read_rank_table(path))
+    assert peak <= 96 * g.node_count + 8 * _READ_BYTES + _SLACK
 
 
 def test_read_of_unsorted_edge_list_peak(solved, tmp_path):

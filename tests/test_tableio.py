@@ -1,4 +1,5 @@
 import io
+import re
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from chei2d import TwoDRanking, rank_order, read_rank_table, tableio
+from chei2d import TwoDRanking, _bulk, rank_order, read_rank_table, tableio
 from chei2d._bulk import load_rows
 from conftest import bernoulli_graph
 from oracle import first_undecodable_line, serialize_rank_table
@@ -36,9 +37,44 @@ def test_serialization_is_deterministic():
 
 
 def test_read_rejects_broken_permutation():
-    text = "1 0.5 1 0.5 1\n2 0.5 1 0.5 2\n"
-    with pytest.raises(ValueError):
-        read_rank_table(io.StringIO(text))
+    ids = "rank table node ids must cover 1..N exactly once"
+    for text, message in [
+        ("1 0.5 1 0.5 1\n2 0.5 1 0.5 2\n",
+         "rank table K column is not the rank order of its probabilities"),
+        ("1 0.5 1 0.5 1\n1 0.5 2 0.5 2\n", ids),  # a repeated id
+        ("0 0.5 1 0.5 1\n2 0.5 2 0.5 2\n", ids),  # id 0
+        ("1 0.5 1 0.5 1\n2 0.5 2 0.5 2\n4 0.5 3 0.5 3\n", ids),  # id N+1
+        ("1 0.5 1 0.5 1\n3 0.5 2 0.5 2\n", ids),  # a gap
+        ("1 0.5 1 0.5 1\n9223372036854775808 0.5 2 0.5 2\n",
+         "rank table line 2: malformed values"),  # an id above int64
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_rank_table(io.StringIO(text))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("pagerank_iterations", "1e400", "pagerank_iterations=1e400 is not a non-negative integer"),
+    ("pagerank_iterations", "nan", "pagerank_iterations=nan is not a non-negative integer"),
+    ("cheirank_iterations", "2.5", "cheirank_iterations=2.5 is not a non-negative integer"),
+    ("cheirank_iterations", "-1", "cheirank_iterations=-1 is not a non-negative integer"),
+    ("pagerank_residual", "small", "pagerank_residual=small is not a number"),
+    ("cheirank_converged", "2", "cheirank_converged=2 is not 0 or 1"),
+    ("cheirank_converged", "1.0", "cheirank_converged=1.0 is not 0 or 1"),
+    ("N", "7", "N=7, but the table holds 40 rows"),
+    ("N", "40.0", "N=40.0, but the table holds 40 rows"),
+    ("N", "40", None),
+    ("pagerank_residual", "0", None),
+])
+def test_read_checks_the_header_values_of_rank_vectors(key, value, message):
+    lines, _ = _table_lines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"# {key}="))
+    lines[at] = f"# {key}={value}\n"
+    bulk, loop = _bulk_and_loop("".join(lines))
+    assert bulk == loop
+    if message is None:
+        assert not isinstance(bulk, str)
+    else:
+        assert bulk == f"rank table line {at + 1}: {message}"
 
 
 def test_read_rejects_wrong_column_count():
@@ -88,21 +124,41 @@ def _bulk_and_loop(text):
     return _read_outcome(text), loop
 
 
-def test_bulk_read_matches_line_loop():
-    lines, _ = _table_lines()
+def _load_rows_spy():
+    """A load_rows that keeps each parse it returns, and the parses."""
     parsed = []
 
     def spy(*args):
         parsed.append(load_rows(*args))
         return parsed[-1]
 
+    return spy, parsed
+
+
+def test_bulk_read_matches_line_loop():
+    lines, _ = _table_lines()
+    spy, parsed = _load_rows_spy()
     with mock.patch.object(tableio, "load_rows", spy):
         bulk, loop = _bulk_and_loop("".join(lines))
     assert parsed[0].size == 40
     assert bulk == loop
 
 
-@pytest.mark.parametrize("edit, message", [
+def test_small_blocks_read_the_table_in_bulk_block_by_block():
+    lines, _ = _table_lines()
+    spy, parsed = _load_rows_spy()
+    with mock.patch.object(_bulk, "_READ_BYTES", 256), \
+            mock.patch.object(tableio, "load_rows", spy):
+        bulk, loop = _bulk_and_loop("".join(lines))
+    assert len(parsed) > 1
+    assert sum(rows.size for rows in parsed) == 40
+    assert bulk == loop
+
+
+# Bytes per read below the default: a block per line or less.
+_SMALL_READS = [1, 3, 8, 32]
+
+_ROW_EDITS = [
     (lambda row: row.replace(" ", "  ", 1), None),
     (lambda row: row.replace(" ", "\t"), None),
     (lambda row: "+" + row, None),
@@ -117,7 +173,11 @@ def test_bulk_read_matches_line_loop():
     (lambda row: "99999999999999999999" + row, "malformed values"),
     (lambda row: row.replace(" ", " nan_", 1), "malformed values"),
     (lambda row: row.replace("\n", "\r\n"), None),
-])
+    (lambda row: row + "# alpha=0.5\n", None),
+]
+
+
+@pytest.mark.parametrize("edit, message", _ROW_EDITS)
 def test_row_edit_deep_in_body_matches_line_loop(edit, message):
     lines, first = _table_lines()
     k = first + 30
@@ -128,6 +188,13 @@ def test_row_edit_deep_in_body_matches_line_loop(edit, message):
         assert not isinstance(bulk, str)
     else:
         assert bulk == f"rank table line {k + 1}: {message}"
+
+
+@pytest.mark.parametrize("edit, message", _ROW_EDITS)
+@pytest.mark.parametrize("read_bytes", _SMALL_READS)
+def test_row_edit_in_small_blocks_matches_line_loop(edit, message, read_bytes):
+    with mock.patch.object(_bulk, "_READ_BYTES", read_bytes):
+        test_row_edit_deep_in_body_matches_line_loop(edit, message)
 
 
 # -- a path reads as a text-mode stream does ----------------------------------
@@ -172,6 +239,13 @@ def test_read_path_reads_as_text_mode(tmp_path, name):
     else:  # where the stream fails to decode, the path read names the line
         with pytest.raises(ValueError, match=f"^line {line}: invalid UTF-8"):
             read_rank_table(path)
+
+
+@pytest.mark.parametrize("name", list(_table_bytes_cases()))
+@pytest.mark.parametrize("read_bytes", _SMALL_READS)
+def test_read_path_in_small_blocks_reads_as_text_mode(tmp_path, name, read_bytes):
+    with mock.patch.object(_bulk, "_READ_BYTES", read_bytes):
+        test_read_path_reads_as_text_mode(tmp_path, name)
 
 
 def test_read_invalid_utf8_message(tmp_path):
