@@ -14,12 +14,13 @@ import json
 import math
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._bulk import decode_file, write_rows
+from ._bulk import decode_file, load_rows, read_blocks, split_lines, write_rows
 from .flow import compute_flow, fixed_point_cell
 from .graph import read_edge_list, synth_scale_free, write_edge_list
 from .ranking import (
@@ -259,17 +260,32 @@ def cmd_matrix(args):
     return files, {}, computed
 
 
-def _read_subset(path, node_count: int) -> list[int]:
+_SUBSET_ROW = np.dtype([("node", np.int64)])
+
+
+def _read_subset(path, node_count: int) -> np.ndarray:
     """Node ids of a subset file, one per line; ``#`` comments and blank
-    lines are skipped.  Each id must lie in [1, node_count].  The bytes
-    are decoded as the edge-list and rank-table readers decode theirs."""
+    lines are skipped.  Each id must lie in [1, node_count].  The file is
+    read in blocks as the edge-list and rank-table readers read theirs:
+    a block of plain ids in range is parsed in bulk, and the line loop
+    below, the only source of the rules and messages, reads the rest."""
+    parts = []
+
+    def load(block, start, newlines):
+        rows = load_rows(block, start, b"", _SUBSET_ROW, newlines)
+        ids = None if rows is None else rows["node"]
+        if ids is not None and ids.size and (ids.min() < 1 or ids.max() > node_count):
+            return None  # for the line loop to name the line
+        return ids
+
     try:
         with open(path, "rb") as fp:
-            text = decode_file(fp.read())
+            _, rest, first_line = read_blocks(
+                fp, lambda line: not line or line.startswith(b"#"), load, parts.append, decode_file)
     except ValueError as exc:  # bytes that are not UTF-8
         raise ValueError(f"subset {exc}") from None
-    ids = []
-    for lineno, raw in enumerate(text.split("\n"), 1):
+    ids = array("q")
+    for lineno, raw in enumerate(split_lines(rest), first_line):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -284,7 +300,7 @@ def _read_subset(path, node_count: int) -> list[int]:
                 f"subset line {lineno}: node id {node} outside [1, {node_count}]"
             )
         ids.append(node)
-    return ids
+    return np.concatenate([*parts, np.frombuffer(ids, dtype=np.int64)])
 
 
 def cmd_twodrank(args):

@@ -28,6 +28,7 @@ from ._bulk import (
     encode_text,
     load_rows,
     read_blocks,
+    split_lines,
     write_rows,
 )
 
@@ -324,8 +325,8 @@ def _read(fp, decode, weighted: bool, drop_self_loops: bool) -> DirectedGraph:
     links = _LinkRows(weighted, drop_self_loops)
     head, rest, first_line = read_blocks(fp, _is_head_line, _load_links,
                                          lambda p: links.add(*p), decode)
-    declared, *_ = _parse_lines(io.StringIO(head))
-    declared, *parsed = _parse_lines(io.StringIO(rest), first_line, declared)
+    declared, *_ = _parse_lines(split_lines(head))
+    declared, *parsed = _parse_lines(split_lines(rest), first_line, declared)
     links.add(*parsed)
     if links.max_id == 0 and declared is None:
         raise ValueError("empty edge list and no 'N <count>' header")
@@ -404,14 +405,14 @@ class _LinkRows:
         return DirectedGraph._assemble(node_count, self.rows, heads, None, 0)
 
 
-def _load_links(data: bytes, start: int = 0):
+def _load_links(data: bytes, start: int = 0, newlines: int | None = None):
     """(src, dst, weight) of an edge-list body, from offset ``start`` of
     ``data``, read in bulk; or None where the line loop must decide: numpy
     declined the body, or it holds an id below 1 or a weight that is not
-    finite and positive."""
-    rows = load_rows(data, start, b"", _LINK_ROW)
+    finite and positive.  ``newlines`` is as :func:`load_rows` takes it."""
+    rows = load_rows(data, start, b"", _LINK_ROW, newlines)
     if rows is None:
-        rows = load_rows(data, start, b".eE+-", _WEIGHTED_LINK_ROW)
+        rows = load_rows(data, start, b".eE+-", _WEIGHTED_LINK_ROW, newlines)
         if rows is None or not np.all(np.isfinite(rows["weight"]) & (rows["weight"] > 0)):
             return None
     if rows.size and min(rows["src"].min(), rows["dst"].min()) < 1:

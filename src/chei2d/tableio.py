@@ -20,6 +20,7 @@ from ._bulk import (
     encode_text,
     load_rows,
     read_blocks,
+    split_lines,
     write_rows,
 )
 from .ranking import RankVector, TwoDRanking
@@ -109,9 +110,10 @@ def _read(fp, decode) -> tuple[TwoDRanking, dict]:
     parts = []
     head, rest, first_line = read_blocks(
         fp, lambda line: not line or line.startswith(b"#"),
-        lambda block, start: load_rows(block, start, b".eE+-", _ROW), parts.append, decode)
-    header, _ = _parse_lines(io.StringIO(head), 1, {})
-    header, tail = _parse_lines(io.StringIO(rest), first_line, header)
+        lambda block, start, newlines: load_rows(block, start, b".eE+-", _ROW, newlines),
+        parts.append, decode)
+    header, _ = _parse_lines(split_lines(head), 1, {})
+    header, tail = _parse_lines(split_lines(rest), first_line, header)
     rows = np.concatenate([*parts, tail])
     del parts, tail
     n, node = rows.size, rows["node"]

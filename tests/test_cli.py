@@ -1,10 +1,11 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import chei2d.cli
-from chei2d import parse_edge_list
+from chei2d import _bulk, parse_edge_list
 from chei2d.cli import main
 from chei2d.stats import check_flag_sizes
 from chei2d.tableio import read_rank_table
@@ -332,6 +333,54 @@ def test_twodrank_subset_is_decoded_as_edge_lists_are(cycle_file, tmp_path, caps
     assert run("twodrank", ranks / "ranks.tsv", "--subset", subset,
                "--out", tmp_path / "t") == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _subset_lines(replace: dict[int, bytes], end: bytes = b"\n") -> bytes:
+    """A subset file of ids 1..100 after a comment, with ``replace``'s
+    1-based lines put in."""
+    lines = [b"# members", *(str(i).encode() for i in range(1, 101))]
+    for lineno, line in replace.items():
+        lines[lineno - 1] = line
+    return b"".join(line + end for line in lines)
+
+
+def _subset_outcome(path, node_count: int):
+    try:
+        return chei2d.cli._read_subset(path, node_count).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("data, outcome, in_bulk", [
+    (_subset_lines({}), list(range(1, 101)), "all"),
+    (_subset_lines({61: b"+5"}), [*range(1, 60), 5, *range(61, 101)], "some"),
+    (_subset_lines({71: b"101"}), "subset line 71: node id 101 outside [1, 100]", "some"),
+    (_subset_lines({71: b"0"}), "subset line 71: node id 0 outside [1, 100]", "some"),
+    (_subset_lines({}, b"\r\n"), list(range(1, 101)), "none"),
+    (_subset_lines({81: b"\xff80"}), "subset line 81: invalid UTF-8, byte 0xff (invalid start byte)",
+     None),
+], ids=["plain", "plus", "above", "zero", "crlf", "not-utf8"])
+def test_subset_read_in_blocks_matches_the_line_loop(tmp_path, data, outcome, in_bulk):
+    """Blocks of plain ids in range are read in bulk ("all" of them, or
+    "some" before the first block that is not), and the line loop reads
+    the rest: the same ids or error either way."""
+    path = tmp_path / "subset.txt"
+    path.write_bytes(data)
+    looped = []  # the text each read left to its line loop
+
+    def spy(text):
+        looped.append(text)
+        return _bulk.split_lines(text)
+
+    with mock.patch.object(_bulk, "_READ_BYTES", 64), \
+            mock.patch.object(chei2d.cli, "split_lines", spy):
+        bulk = _subset_outcome(path, 100)
+        with mock.patch.object(chei2d.cli, "load_rows", lambda *args: None):
+            loop = _subset_outcome(path, 100)
+    assert bulk == loop == outcome
+    if in_bulk is not None:  # the bulk read's rest against the whole text
+        rest, whole = map(len, looped)
+        assert {"all": rest == 0, "some": 0 < rest < whole, "none": rest == whole}[in_bulk]
 
 
 def test_synth_command_deterministic(tmp_path):

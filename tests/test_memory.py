@@ -181,6 +181,19 @@ def test_read_rank_table_holds_its_rows_twice_and_one_block(solved, tmp_path):
     assert peak <= 96 * g.node_count + 8 * _READ_BYTES + _SLACK
 
 
+def test_read_of_crlf_rank_table_holds_its_text_not_a_stream_of_it(solved, tmp_path):
+    g, r = solved
+    path = tmp_path / "ranks.tsv"
+    write_rank_table(r, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    # The line loop reads the whole table: its bytes, their text and the
+    # text with its newlines translated, about 65 B/row each, while the
+    # loop's lines are split a block at a time.  Handed to the loop as an
+    # io.StringIO, whose buffer holds 4 B/char more, it peaked at 363 B/row.
+    peak = _peak(lambda: read_rank_table(path))
+    assert peak <= 200 * g.node_count + 8 * _READ_BYTES + _SLACK
+
+
 def test_read_of_unsorted_edge_list_peak(solved, tmp_path):
     g, _ = solved
     order = np.random.default_rng(3).permutation(g.link_count)

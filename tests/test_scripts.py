@@ -34,3 +34,16 @@ def test_script_runs(tmp_path, script, args, files):
     for name in files:
         path = out / name
         assert path.is_file() and path.stat().st_size > 0, name
+
+
+def test_float_repr_sweep_finds_no_mismatch():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "float_repr_sweep.py"),
+         "--values", "20000", "--seed", "3"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 4 and all(line.endswith(", 0 mismatches") for line in lines), lines
