@@ -1,24 +1,35 @@
 #!/usr/bin/env python3
-"""Sweep the data files' float writer against ``repr``.
+"""Sweep the data files' float writer against ``repr``, and the row
+parser against ``float``.
 
 Formats float64 values as every data file writes them, in chunks of the
 writer's row count, and compares each value's text with ``repr``:
 random bit patterns over the whole range (negatives, subnormals, zeros,
 inf and nan among them), the 1-3 ulp neighbours of short decimals, and
-the 50 doubles on each side of every power of ten and of two.  Prints,
-per set, how many values took the ``repr`` fallback and how many
-differ, and exits 1 on any difference.
+the 50 doubles on each side of every power of ten and of two.  Then
+parses text as the readers do, in blocks of rows, and compares each
+value with ``float`` of its text, bit for bit: the ``repr`` of every
+finite value above, random decimals of 1 to 25 digits, and decimals of
+16 to 20 digits nearest the points halfway between adjacent doubles.
+Prints, per set, how many values took the fallback (``repr`` when
+writing, ``float`` when reading) and how many differ, and exits 1 on any
+difference.
 
     PYTHONPATH=src python scripts/float_repr_sweep.py --values 2000000 --seed 1
 """
 
 import argparse
+import decimal
+from unittest import mock
 
 import numpy as np
 
+from chei2d import _bulk
 from chei2d._bulk import _CHUNK_ROWS, _float_bytes
 
 _ULPS = 50  # doubles on each side of a power of ten or two
+_BLOCK_ROWS = 1 << 14  # rows of one parsed block, about a read's worth
+_ROW = np.dtype([("x", np.float64)])
 
 
 def _around(centers: np.ndarray, steps: int) -> np.ndarray:
@@ -43,6 +54,31 @@ def value_sets(count: int, seed: int):
     yield "around powers of two", _around(np.ldexp(1.0, np.arange(-1074, 1024)), _ULPS)
 
 
+def text_sets(values: np.ndarray, count: int, seed: int):
+    """(name, texts) of each set the parse compares: the ``repr`` of the
+    finite ``values``, and ``count`` random decimals and midpoints."""
+    yield "reprs read back", list(map(repr, values[np.isfinite(values)].tolist()))
+    rng = np.random.default_rng(seed)
+    texts = []
+    for d, e, point, sign in zip(rng.integers(1, 26, count).tolist(),
+                                 rng.integers(-330, 310, count).tolist(),
+                                 rng.integers(0, 27, count).tolist(),
+                                 rng.choice(["", "-", "+"], count).tolist()):
+        digits = "".join(map(str, rng.integers(0, 10, d).tolist()))
+        point = min(point, d)
+        texts.append(f"{sign}{digits[:point]}.{digits[point:]}e{e}")
+    yield "random decimals of 1-25 digits", texts
+    low = rng.integers(1, 2 ** 63, max(count // 5, 1), dtype=np.uint64).view(np.float64)
+    low = low[np.isfinite(low) & (low != 0)]
+    high = np.nextafter(low, np.inf)
+    with decimal.localcontext() as context:
+        context.prec = 60
+        midpoints = [(decimal.Decimal(a) + decimal.Decimal(b)) / 2
+                     for a, b in zip(low.tolist(), high.tolist())]
+        texts = [format(m, f".{d - 1}e") for m in midpoints for d in range(16, 21)]
+    yield "near-halfway decimals of 16-20 digits", texts
+
+
 def compare(values: np.ndarray) -> tuple[int, list[tuple[float, str, str]]]:
     """Fallback count and the (value, text, repr) of each mismatch."""
     fallbacks, mismatches = 0, []
@@ -59,19 +95,50 @@ def compare(values: np.ndarray) -> tuple[int, list[tuple[float, str, str]]]:
     return fallbacks, mismatches
 
 
+def compare_parse(texts: list[str]) -> tuple[int, list[tuple[str, str, str]]]:
+    """Count of values ``float`` itself read, and the (text, parsed,
+    ``float``) of each mismatch."""
+    # _bulk looks ``float`` up in its globals first: a counting one there
+    # counts the fallbacks
+    fallback = mock.Mock(wraps=float)
+    mismatches = []
+    with mock.patch.object(_bulk, "float", fallback, create=True):
+        for start in range(0, len(texts), _BLOCK_ROWS):
+            block = texts[start:start + _BLOCK_ROWS]
+            rows = _bulk.load_rows(("\n".join(block) + "\n").encode(), 0, _ROW)
+            expected = np.array([float(text) for text in block])
+            if rows is None:
+                mismatches += [(text, "declined", repr(v)) for text, v in zip(block, expected)]
+                continue
+            wrong = np.flatnonzero(rows["x"].view(np.uint64) != expected.view(np.uint64))
+            mismatches += [(block[i], repr(rows["x"][i].item()), repr(expected[i].item()))
+                           for i in wrong.tolist()]
+    return fallback.call_count, mismatches
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--values", type=int, default=2_000_000,
-                        help="random bit patterns; a seventh as many short decimals")
+                        help="random bit patterns; a seventh as many short decimals, "
+                             "a quarter as many random decimals to parse")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     failed = False
+    written = []
     for name, values in value_sets(args.values, args.seed):
         fallbacks, mismatches = compare(values)
         print(f"{name}: {values.size} values, {fallbacks} through repr "
               f"({fallbacks / values.size:.2%}), {len(mismatches)} mismatches")
         for value, text, expected in mismatches[:10]:
             print(f"  {value.hex()}: wrote {text!r}, repr {expected!r}")
+        failed |= bool(mismatches)
+        written.append(values)
+    for name, texts in text_sets(np.concatenate(written), max(args.values // 4, 1), args.seed):
+        fallbacks, mismatches = compare_parse(texts)
+        print(f"{name}: {len(texts)} values, {fallbacks} through float "
+              f"({fallbacks / len(texts):.2%}), {len(mismatches)} mismatches")
+        for text, parsed, expected in mismatches[:10]:
+            print(f"  {text}: read {parsed}, float {expected}")
         failed |= bool(mismatches)
     return 1 if failed else 0
 

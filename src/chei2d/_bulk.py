@@ -4,10 +4,21 @@ The edge-list, rank-table and subset readers each keep a line loop that
 is the only source of their accept/reject rules and error messages.
 This module is their fast path, on bytes: :func:`read_blocks` takes a
 file block by block, sets aside its header and comment lines, and has a
-bulk parse such as :func:`load_rows` (numpy's C text parsers) read each
-block after them.  A parse declines (returns None) any block it could
-read differently from the line loop, which then parses the decoded text
-from there on (see :func:`split_lines`); only then is the text decoded.
+bulk parse such as :func:`load_rows` read each block after them.  A
+parse declines (returns None) any block it could read differently from
+the line loop, which then parses the decoded text from there on (see
+:func:`split_lines`); only then is the text decoded.
+
+:func:`load_rows` parses rows of int64 and float64 fields in numpy,
+each value bit-identical to ``int`` or ``float`` of its token.  Token
+and line bounds come from byte comparisons; digit strings are read 8
+bytes at a time from an aligned copy of the block and combined with
+integer multiplies, shifts and masks (SWAR); a float's digits m and
+decimal exponent q are rounded to the double nearest m * 10**q with
+Dekker's double-double products on the table the formatter below uses
+(Clinger's and Lemire's method).  ``float`` itself reads a float that
+lies too near a tie between two doubles to be sure of, or has more than
+19 significant digits or a power of ten outside the table.
 
 :func:`write_rows` writes the rows of every data file.  Per chunk of
 rows it fills a fixed-width byte matrix, one row per line: integers as
@@ -24,22 +35,20 @@ value where ``sys.float_repr_style`` is not ``"short"``.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import sys
-import warnings
 from itertools import chain
 from typing import IO
 
 import numpy as np
 
-_DIGITS_AND_WHITESPACE = b"0123456789 \t\n"
 # Rows write_rows formats at once.  The float formatter holds about 30
 # 8-byte temporaries per row, so a chunk's peak is a few MB.
 _CHUNK_ROWS = 1 << 13
 # Bytes a reader takes from its file at once; the block of lines cut
-# from them and its parse hold about seven times that.
+# from them and its parse hold about nine times that.
 _READ_BYTES = 1 << 18
+_INT32_MAX = np.iinfo(np.int32).max
 _INT64_MAX = np.iinfo(np.int64).max
 # Decimal exponents e (10**e <= |x| < 10**(e + 1)) of the floats that
 # numpy formats: their scales 10**(16 - e), and the values, stay clear of
@@ -51,6 +60,8 @@ _FEW_FLOATS = 256
 _SPLITTER = float(2 ** 27 + 1)
 _MANTISSA = np.uint64(2 ** 52 - 1)
 _POWERS_OF_TEN = 10 ** np.arange(17, dtype=np.int64)
+_U64_POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
+_ASCII_ZEROS = np.uint64(int.from_bytes(b"0" * 8, "little"))
 
 
 def write_rows(fp: IO[str], header_lines, *columns, sep: str = "\t") -> None:
@@ -277,8 +288,8 @@ def _layout(digits: np.ndarray, count: np.ndarray, exponent: np.ndarray,
 
 
 def _int_bytes(values: np.ndarray) -> np.ndarray:
-    """Right-aligned decimal digits, made by repeated divmod on the whole
-    column, with '-' before each negative value."""
+    """Right-aligned decimal digits, made by repeated division of the
+    whole column by 10, with '-' before each negative value."""
     negative = values < 0
     magnitude = values.astype(np.uint64)
     # uint64 negation wraps to the absolute value, int64's minimum included
@@ -286,14 +297,16 @@ def _int_bytes(values: np.ndarray) -> np.ndarray:
     signed = bool(negative.any())
     width = len(str(int(magnitude.max()))) + signed
     out = np.zeros((values.size, width), dtype=np.uint8)
-    digit = np.empty_like(magnitude)
+    rest, quotient = magnitude, np.empty_like(magnitude)
     for j in range(width - 1, signed - 1, -1):
-        shown = magnitude > 0  # digits left to write
-        np.divmod(magnitude, 10, out=(magnitude, digit))
-        digit += ord("0")
+        shown = rest > 0  # digits left to write
+        np.floor_divide(rest, 10, out=quotient)
+        rest -= quotient * 10  # the digit: a multiply and a subtract, not a second division
+        rest += ord("0")
         if j < width - 1:  # the last digit shows even for 0
-            digit *= shown
-        out[:, j] = digit
+            rest *= shown
+        out[:, j] = rest
+        rest, quotient = quotient, rest
     if signed:
         rows = np.flatnonzero(negative)
         out[rows, (out[rows] != 0).argmax(axis=1) - 1] = ord("-")
@@ -322,11 +335,11 @@ def read_blocks(fp, is_head, load, add, decode) -> tuple[str, str, int]:
     """``(head, rest, first_line)`` of the binary stream ``fp``, read once
     in blocks.  ``head`` is the text of the leading block of lines that
     pass ``is_head`` (see :func:`leading_block_end`).  ``load(block,
-    start, newlines)`` parses each body block from offset ``start``, which
-    holds ``newlines`` newlines from there, and ``add`` takes each parse,
-    until ``load`` declines (returns None).  ``rest`` is the text from
-    there on, from 1-based line ``first_line``, both made by
-    ``decode(data, first_line)``.  The caller's line loop reads ``head``,
+    start)`` parses each body block from offset ``start``, and ``add``
+    takes each parse, until ``load`` declines (returns None).  ``rest``
+    is the text from there on, from 1-based line ``first_line``, both
+    made by ``decode(parts, first_line)`` from a list of byte strings,
+    which it empties.  The caller's line loop reads ``head``,
     then ``rest`` (see :func:`split_lines`): every outcome and error is
     the line loop's."""
     blocks = _blocks(fp)
@@ -340,14 +353,16 @@ def read_blocks(fp, is_head, load, add, decode) -> tuple[str, str, int]:
         block, start = b"", 0  # no body
     lines = head.count(b"\n") + 1  # the line at ``start``
     for block in chain([block], blocks):
-        newlines = block.count(b"\n", start)
-        parsed = load(block, start, newlines)
+        parsed = load(block, start)
         if parsed is None:
-            return decode(head, 1), decode(b"".join([block[start:], *blocks]), lines), lines
+            rest = [block[start:], *blocks]
+            del block
+            return decode([head], 1), decode(rest, lines), lines
         add(parsed)
-        lines += newlines
+        # numpy counts bytes several times faster than bytes.count
+        lines += np.count_nonzero(np.frombuffer(block, dtype=np.uint8, offset=start) == ord("\n"))
         start = 0
-    return decode(head, 1), "", lines
+    return decode([head], 1), "", lines
 
 
 def split_lines(text: str):
@@ -381,80 +396,293 @@ def leading_block_end(data: bytes, is_head) -> int:
     return pos
 
 
-def load_rows(data: bytes, start: int, symbols: bytes, dtype: np.dtype,
-              newlines: int | None = None) -> np.ndarray | None:
+def load_rows(data: bytes, start: int, dtype: np.dtype) -> np.ndarray | None:
     """One ``dtype`` record per non-blank line of the block ``data`` from
     offset ``start`` on, or None.
 
+    The fields are int64 and float64, and each value is the one ``int``
+    or ``float`` reads from the line's token for it: tokens are split by
+    runs of spaces and tabs, and a line may start and end with them.
     None when that part is empty, holds a byte other than ASCII digits,
-    space, tab, newline and ``symbols``, or when numpy rejects it: a
-    line whose field count differs from ``dtype``'s, an integer outside
-    int64 or a malformed number.  Those bytes rule out what Python's
-    ``int``/``float`` read differently from numpy (underscores, non-ASCII
-    digits, ``inf``/``nan``) and carriage returns, which a line loop over
-    a string does not split on.  Rows of int64 fields alone are parsed
-    by :func:`_integer_rows`, and by ``np.loadtxt`` from a stream over
-    ``data`` where that declines, as other rows are.  ``newlines``, the
-    count of newlines from ``start`` where the caller has it, bounds the
-    rows ``np.loadtxt`` allocates.
+    space, tab, newline and, where ``dtype`` has a float field,
+    ``.eE+-``, or when a line's token count differs from the field
+    count, a token is not a number, or an integer has more than 19
+    digits or lies outside int64.  Those bytes rule out what ``int`` and
+    ``float`` read but this parse does not (underscores, non-ASCII
+    digits, ``inf``/``nan``), and carriage returns, which a line loop
+    over a string does not split on.  An integer may carry a sign only
+    where ``dtype`` has a float field, as numpy's text reader, which this
+    parse replaced, took them.  Blocks over 2 GB, whose offsets int32
+    does not hold, are declined too.
+
+    The parse is numpy's, about a hundred array operations a block.
+    Digit strings are read 8 bytes at a time (see :func:`_eight_digits`), and a
+    float is its decimal digits m times a power of ten q, rounded to the
+    nearest double by :func:`_scaled_decimals`; ``float`` itself reads
+    the few tokens for which that cannot be sure.
     """
-    if start >= len(data):
+    if start >= len(data) or len(data) > _INT32_MAX:
         return None
-    if data[start:].translate(None, _DIGITS_AND_WHITESPACE + symbols):
-        return None
-    if not symbols and all(dtype[name] == np.int64 for name in dtype.names):
-        rows = _integer_rows(data, start, dtype)
-        if rows is not None:
-            return rows
-    stream = io.BytesIO(data)
-    stream.seek(start)
-    # At most one row per line: given that bound, numpy allocates the rows
-    # once instead of growing a buffer, and warns that blank lines do not
-    # count toward it, and that a block of them alone holds no rows.
-    max_rows = None if newlines is None else newlines + 1
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "Input line|loadtxt: input contained", UserWarning)
-            return np.loadtxt(stream, dtype=dtype, ndmin=1, max_rows=max_rows)
-    except ValueError:
-        return None
-
-
-def _integer_rows(data: bytes, start: int, dtype: np.dtype):
-    """:func:`load_rows` of digits and whitespace into int64 fields, by
-    one ``np.fromstring`` call: no rows for blank lines alone, and None
-    where a non-blank line holds other than one field per ``dtype``
-    field or a value reads as int64's maximum, which ``np.fromstring``
-    also gives for any larger one.
-
-    ``np.fromstring`` reads the numbers whatever lines they are on, and
-    whitespace alone as one 0, so each field's line is checked from
-    where its digits start."""
-    text = np.frombuffer(data, dtype=np.uint8, offset=start)
-    digit = text >= ord("0")  # the rest is whitespace
-    if not digit.any():
+    floats = np.array([dtype[name] == np.float64 for name in dtype.names])
+    any_float = bool(floats.any())
+    text = np.frombuffer(data, dtype=np.uint8)
+    body = text[start:]
+    solid = body > ord(" ")
+    digit = np.subtract(body, ord("0"), dtype=np.uint8) < 10
+    blanks = body.size - np.count_nonzero(solid)
+    if blanks != sum(np.count_nonzero(body == ord(c)) for c in " \t\n"):
+        return None  # a carriage return, a form feed or another control byte
+    if not any_float and np.count_nonzero(digit) != body.size - blanks:
+        return None  # integers alone, and a byte other than a digit
+    bounds = np.flatnonzero(np.diff(solid, prepend=False, append=False)).astype(np.int32)
+    bounds += start
+    starts, ends = bounds[0::2].copy(), bounds[1::2].copy()  # of each token
+    del bounds
+    fields, count = floats.size, starts.size
+    if not count:
         return np.zeros(0, dtype=dtype)  # blank lines alone
-    field_starts = np.empty(text.size, dtype=np.int8)
-    field_starts[0] = digit[0]
-    np.greater(digit[1:], digit[:-1], out=field_starts[1:])
-    line_starts = np.flatnonzero(text[:-1] == ord("\n")) + 1
-    # Fields per line, counted in int8 so that nothing is cast: a count
-    # wraps past 127, but a line whose count wrapped to 0 or to the field
-    # count holds more values than that, which the total then shows.
-    per_line = np.add.reduceat(field_starts, np.concatenate(([0], line_starts)),
-                               dtype=np.int8)
-    fields = len(dtype.names)
-    if np.any((per_line != fields) & (per_line != 0)):
+    if count % fields or not _one_row_a_line(text, starts, ends, fields):
         return None
-    try:
-        values = np.fromstring(data[start:] if start else data, dtype=np.int64, sep=" ")
-    except ValueError:
+    # the block from byte 8 of aligned words, zero before and after it,
+    # so that the 8 bytes before any offset lie in two words (see
+    # _eight_digits)
+    words = np.zeros(len(data) // 8 + 2, dtype=np.uint64)
+    words.view(np.uint8)[8:8 + len(data)] = text
+    if not any_float:
+        del solid, digit, body
+        values = _integers(words, starts, ends)
+        return None if values is None else values.view(dtype)
+    symbols = np.flatnonzero(solid > digit).astype(np.int32)  # solid, not digits
+    del solid, digit, body
+    symbols += start
+    lead = text.take(starts)  # a leading sign, on a token of any field
+    negative = lead == ord("-")
+    begin = starts + (negative | (lead == ord("+")))
+    del lead
+    first = np.arange(0, count, fields, dtype=np.int32)[:, None]
+    out = np.empty(count // fields, dtype=dtype)
+    for kind in (False, True):  # the integer fields, then the float fields
+        columns = np.flatnonzero(floats == kind)
+        if not columns.size:
+            continue
+        pick = (first + columns).ravel()
+        field_begin, field_end = begin.take(pick), ends.take(pick)
+        if kind:
+            marks = _marks(text, symbols, field_begin, field_end,
+                           np.count_nonzero(begin - starts))
+            value = None if marks is None else _floats(
+                data, words, starts.take(pick), field_begin, field_end, *marks)
+        else:
+            value = _integers(words, field_begin, field_end)
+        if value is None:
+            return None
+        np.negative(value, out=value, where=negative.take(pick))
+        value = value.reshape(out.size, -1)
+        for j, column in enumerate(columns):
+            out[dtype.names[column]] = value[:, j]
+    return out
+
+
+def _one_row_a_line(text: np.ndarray, starts: np.ndarray, ends: np.ndarray, fields: int) -> bool:
+    """Whether each line's tokens make one row of ``fields`` tokens: the
+    gap before a token holds a newline exactly where the token starts a
+    row.  A gap of one byte is that byte; only longer ones, runs of
+    blanks or blank lines, are looked up among the newlines."""
+    after = ends[:-1]
+    breaks = text.take(after) == ord("\n")
+    long = np.flatnonzero(starts[1:] - after > 1)
+    if long.size:
+        newlines = np.flatnonzero(text == ord("\n"))
+        breaks[long] = (np.searchsorted(newlines, starts[long + 1])
+                        > np.searchsorted(newlines, after[long]))
+    rows = np.append(breaks, True).reshape(-1, fields)
+    return bool(rows[:, -1].all()) and not rows[:, :-1].any()
+
+
+def _marks(text: np.ndarray, at: np.ndarray, begin: np.ndarray, ends: np.ndarray,
+           leading_signs: int):
+    """``(point, mark, exponent_sign)`` of the float tokens from ``begin``,
+    after any leading sign, to ``ends``, from the offsets ``at`` of the
+    block's bytes above space other than digits; or None where one of
+    those is out of place.  ``point`` and ``mark`` are the offsets of a
+    token's decimal point and of its 'e' or 'E', the mark where there is
+    no point and the end where there is no mark; ``exponent_sign`` is -1,
+    0 or 1 for a '-', no sign or a '+' right after the mark.
+
+    Each point and mark must lie in a float token, at most one of each a
+    token.  Every other byte must be a sign: one of the block's
+    ``leading_signs`` or one right after a mark.  Those are counted where
+    they must lie, so their count equals the other bytes' only where
+    there is no sign elsewhere and no byte other than '+' and '-'."""
+    glyph = text.take(at)
+    mark_at = np.compress((glyph | 0x20) == ord("e"), at)
+    point_at = np.compress(glyph == ord("."), at)
+    mark_owner, point_owner = _owners(mark_at, begin, ends), _owners(point_at, begin, ends)
+    if mark_owner is None or point_owner is None:
         return None
-    if values.size != fields * np.count_nonzero(per_line):
+    sign = text.take(mark_at + 1, mode="clip").view(np.int8)
+    sign = (sign == ord("+")).view(np.int8) - (sign == ord("-"))
+    if at.size - mark_at.size - point_at.size != leading_signs + np.count_nonzero(sign):
         return None
-    if values.max() == _INT64_MAX:
+    mark = ends.copy()
+    mark[mark_owner] = mark_at
+    point = mark.copy()
+    point[point_owner] = point_at
+    exponent_sign = np.zeros(begin.size, dtype=np.int8)
+    exponent_sign[mark_owner] = sign
+    return point, mark, exponent_sign
+
+
+def _owners(offsets: np.ndarray, begin: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The token from ``begin`` to ``ends`` that holds each of the sorted
+    ``offsets``, or None where one lies in none of them or two in one."""
+    if offsets.size == begin.size and np.all(begin <= offsets) and np.all(offsets < ends):
+        return np.arange(offsets.size)  # one in each
+    owner = np.searchsorted(begin, offsets, "right") - 1
+    if offsets.size and (owner[0] < 0 or np.any(owner[1:] == owner[:-1])
+                         or np.any(offsets >= ends.take(owner))):
         return None
-    return values.view(dtype)
+    return owner
+
+
+def _integers(words: np.ndarray, begin: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The int64 values of the digit strings from ``begin`` to ``ends``, or
+    None where one is empty, longer than 19 digits or outside int64."""
+    count = ends - begin
+    if count.min() < 1 or count.max() > 19:
+        return None
+    value, _ = _digit_values(words, ends, count)
+    if value.max() > np.uint64(_INT64_MAX):
+        return None
+    return value.view(np.int64)
+
+
+def _floats(data, words, starts, begin, ends, point, mark, exponent_sign):
+    """The magnitudes of the float tokens from ``starts`` to ``ends``, as
+    ``float`` reads them, from their digits' ``begin`` and the ``point``,
+    ``mark`` and ``exponent_sign`` of :func:`_marks`; or None where a token
+    is not a number: a point after its mark, no digit before its mark or
+    none after it."""
+    pointed = point < mark
+    whole_count = point - begin
+    part_count = mark - point - pointed
+    # the exponent's digits and the mark: none where there is no mark, and
+    # 1 where the mark has no digit after it
+    exponent_count = ends - mark - (exponent_sign != 0)
+    if not (np.all(point <= mark) and np.all(whole_count + part_count > 0)
+            and np.all(exponent_count != 1)):
+        return None
+    exponent_count -= exponent_count > 0
+    # the whole part, the fraction and the exponent, read at once
+    digits, fits = _digit_values(words, np.concatenate([point, mark, ends]),
+                                 np.concatenate([whole_count, part_count, exponent_count]))
+    whole, part, exponent = digits.reshape(3, -1)
+    # m = whole * 10**part_count + part, exact below 10**19
+    exact = fits.reshape(3, -1).all(axis=0)
+    exact &= whole < _U64_POWERS_OF_TEN.take(np.clip(19 - part_count, 0, 19))
+    mantissa = whole * _U64_POWERS_OF_TEN.take(np.minimum(part_count, 19)) + part
+    scale = np.minimum(exponent, np.uint64(1 << 20)).astype(np.int64)
+    scale *= exponent_sign | 1  # -1 for a '-', 1 otherwise
+    scale -= part_count
+    values, sure = _scaled_decimals(mantissa, scale)
+    for row in np.flatnonzero(~(exact & sure)).tolist():
+        values[row] = abs(float(data[starts[row]:ends[row]]))
+    return values
+
+
+def _digit_values(words: np.ndarray, end: np.ndarray, count: np.ndarray):
+    """``(value, fits)`` of the ``count`` decimal digits before each offset
+    ``end`` of a block, in ``words`` as :func:`load_rows` lays it out:
+    ``value`` is exact where ``fits``, where the count is at most 24 and
+    the value below 10**19.  A string takes up to three words of 8
+    digits, each read by :func:`_eight_digits`."""
+    value = _eight_digits(words, end, np.minimum(count, 8).astype(np.uint8))
+    fits = count <= 24
+    for k in (1, 2):
+        rows = np.flatnonzero(count > 8 * k)
+        if not rows.size:
+            break
+        digits = _eight_digits(words, end.take(rows) - 8 * k,
+                               np.minimum(count.take(rows) - 8 * k, 8))
+        if k == 2:
+            fits[rows] &= digits < 1000
+        digits *= np.uint64(10 ** (8 * k))  # wraps only where it does not fit
+        value[rows] += digits
+    return value, fits
+
+
+def _eight_digits(words: np.ndarray, end: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The values of the ``count`` (0 to 8) digits before each offset
+    ``end`` of a block, in ``words`` as :func:`load_rows` lays it out:
+    from byte 8 of an array of aligned little-endian words, with zero
+    bytes around it.
+
+    The 8 bytes before ``end`` are the end of one aligned word and the
+    start of the next, joined by two shifts, so that the last digit is
+    the top byte: a little-endian word's first byte is its least
+    significant.  The bytes below the digits are shifted out, leading
+    zeros of the number, and the digits combine in pairs, fours and
+    eights: three multiply-shift-mask steps (SWAR)."""
+    at = (end >> 3).astype(np.intp)  # the word that holds the byte 8 before end
+    word = words.take(at)
+    at += 1
+    high = words.take(at)
+    shift = at.view(np.uint64)  # at's buffer, for the shifts
+    np.bitwise_and(end, 7, out=shift, casting="unsafe")
+    shift <<= np.uint64(3)
+    word >>= shift
+    np.subtract(np.uint64(64), shift, out=shift)
+    high <<= shift  # a shift of 64 leaves 0
+    word |= high
+    del high
+    word ^= _ASCII_ZEROS
+    np.subtract(8, count, out=shift, casting="unsafe")
+    shift <<= np.uint64(3)
+    word >>= shift
+    word <<= shift
+    del at, shift
+    word *= np.uint64(10 << 8 | 1)
+    word >>= np.uint64(8)
+    word &= np.uint64(0x00FF00FF00FF00FF)
+    word *= np.uint64(100 << 16 | 1)
+    word >>= np.uint64(16)
+    word &= np.uint64(0x0000FFFF0000FFFF)
+    word *= np.uint64(10000 << 32 | 1)
+    word >>= np.uint64(32)
+    return word
+
+
+def _scaled_decimals(mantissa: np.ndarray, scale: np.ndarray):
+    """``(values, sure)``: each ``mantissa * 10**scale`` rounded to the
+    nearest double, exact where ``sure``; mantissas are below 10**19.
+
+    The mantissa is the sum of a double and a small integer, 10**scale
+    that of the table's ``hi`` and ``lo`` (see :func:`_decimal_scales`),
+    and Dekker's split products give their product to about 2**-100 of
+    it as a double y and a rest.  y + rest rounded is the nearest double
+    to the product, unless the product lies within that error of a point
+    halfway between two doubles: sure where the rounded sum lies more
+    than 2**-90 of it from one.  Zero is sure; scales outside the table
+    are not."""
+    least, hi, hi_top, hi_bottom, lo = _decimal_scales()
+    at = 16 - scale - _EXPONENTS.start  # 10**scale = 10**(16 - e), at e's index
+    inside = (at >= 0) & (at < hi.size)
+    at[~inside] = 0
+    x = mantissa.astype(np.float64)
+    below = (mantissa - x.astype(np.uint64)).view(np.int64).astype(np.float64)  # |m - x| <= 2**10
+    top, bottom = _split(x)
+    scale_hi, scale_top, scale_bottom = hi.take(at), hi_top.take(at), hi_bottom.take(at)
+    y = x * scale_hi
+    rest = ((top * scale_top - y) + top * scale_bottom + bottom * scale_top
+            + bottom * scale_bottom + (x * lo.take(at) + below * scale_hi))
+    values = y + rest
+    off = (y - values) + rest  # the sum's distance from its rounded value
+    bits = values.view(np.uint64)
+    half_ulp = (bits & ~_MANTISSA).view(np.float64) * 2.0 ** -53
+    # below a power of two the doubles are twice as dense
+    half_ulp[(off < 0) & (bits & _MANTISSA == 0)] *= 0.5
+    sure = inside & (half_ulp - np.abs(off) > values * 2.0 ** -90) | (mantissa == 0)
+    return values, sure
 
 
 def encode_text(text: str) -> bytes:
@@ -463,18 +691,25 @@ def encode_text(text: str) -> bytes:
     return text.encode("utf-8", "surrogatepass")
 
 
-def decode_text(data: bytes, first_line: int = 1) -> str:
-    """Inverse of :func:`encode_text`: the text exactly as handed over,
-    carriage returns included; ``first_line``, as in :func:`decode_file`, is unused."""
+def decode_text(parts: list, first_line: int = 1) -> str:
+    """Inverse of :func:`encode_text` on the bytes of ``parts`` joined: the
+    text exactly as handed over, carriage returns included.  As in
+    :func:`decode_file`, ``parts`` is emptied; ``first_line`` is unused."""
+    data = b"".join(parts)
+    parts.clear()
     return data.decode("utf-8", "surrogatepass")
 
 
-def decode_file(data: bytes, first_line: int = 1) -> str:
-    """A file's bytes as ``open(path, encoding="utf-8").read()`` returns
-    them: strict UTF-8 with universal newlines.  Bytes that are not UTF-8
-    raise ValueError naming the 1-based line of the first bad byte, as
-    universal newlines count lines, ``data`` starting at line
-    ``first_line``."""
+def decode_file(parts: list, first_line: int = 1) -> str:
+    """The bytes of ``parts`` joined, a file's, as ``open(path,
+    encoding="utf-8").read()`` returns them: strict UTF-8 with universal
+    newlines.  Bytes that are not UTF-8 raise ValueError naming the
+    1-based line of the first bad byte, as universal newlines count
+    lines, the bytes starting at line ``first_line``.  ``parts`` is
+    emptied, and the joined bytes let go before the newlines are
+    translated, so that no more than two copies of the text are held."""
+    data = b"".join(parts)
+    parts.clear()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -482,4 +717,6 @@ def decode_file(data: bytes, first_line: int = 1) -> str:
         lineno = first_line + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
         raise ValueError(f"line {lineno}: invalid UTF-8, byte 0x{data[exc.start]:02x} "
                          f"({exc.reason})") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    del data
+    text = text.replace("\r\n", "\n")
+    return text.replace("\r", "\n")

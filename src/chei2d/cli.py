@@ -271,8 +271,8 @@ def _read_subset(path, node_count: int) -> np.ndarray:
     below, the only source of the rules and messages, reads the rest."""
     parts = []
 
-    def load(block, start, newlines):
-        rows = load_rows(block, start, b"", _SUBSET_ROW, newlines)
+    def load(block, start):
+        rows = load_rows(block, start, _SUBSET_ROW)
         ids = None if rows is None else rows["node"]
         if ids is not None and ids.size and (ids.min() < 1 or ids.max() > node_count):
             return None  # for the line loop to name the line

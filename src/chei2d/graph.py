@@ -405,14 +405,14 @@ class _LinkRows:
         return DirectedGraph._assemble(node_count, self.rows, heads, None, 0)
 
 
-def _load_links(data: bytes, start: int = 0, newlines: int | None = None):
+def _load_links(data: bytes, start: int = 0):
     """(src, dst, weight) of an edge-list body, from offset ``start`` of
-    ``data``, read in bulk; or None where the line loop must decide: numpy
-    declined the body, or it holds an id below 1 or a weight that is not
-    finite and positive.  ``newlines`` is as :func:`load_rows` takes it."""
-    rows = load_rows(data, start, b"", _LINK_ROW, newlines)
+    ``data``, read in bulk; or None where the line loop must decide: the
+    bulk parse declined the body, or it holds an id below 1 or a weight
+    that is not finite and positive."""
+    rows = load_rows(data, start, _LINK_ROW)
     if rows is None:
-        rows = load_rows(data, start, b".eE+-", _WEIGHTED_LINK_ROW, newlines)
+        rows = load_rows(data, start, _WEIGHTED_LINK_ROW)
         if rows is None or not np.all(np.isfinite(rows["weight"]) & (rows["weight"] > 0)):
             return None
     if rows.size and min(rows["src"].min(), rows["dst"].min()) < 1:

@@ -221,7 +221,9 @@ def _unweighted_matrix(graph: DirectedGraph, alpha: float, swap):
         np.cumsum(swap, out=running[1:])
         swapped_ptr = running[graph.indptr]
         del running
-        kept_columns, swapped_columns = heads[~swap], heads[swap]
+        # a take of the flat indices splits faster than boolean indexing
+        kept_columns = heads.take(np.flatnonzero(~swap))
+        swapped_columns = heads.take(np.flatnonzero(swap))
     else:
         none = np.empty(0, dtype=heads.dtype)
         swapped_ptr, kept_columns, swapped_columns = (

@@ -110,7 +110,7 @@ def _read(fp, decode) -> tuple[TwoDRanking, dict]:
     parts = []
     head, rest, first_line = read_blocks(
         fp, lambda line: not line or line.startswith(b"#"),
-        lambda block, start, newlines: load_rows(block, start, b".eE+-", _ROW, newlines),
+        lambda block, start: load_rows(block, start, _ROW),
         parts.append, decode)
     header, _ = _parse_lines(split_lines(head), 1, {})
     header, tail = _parse_lines(split_lines(rest), first_line, header)

@@ -1,8 +1,11 @@
 """The row writer against the first recipe it replaced, byte for byte,
-its float formatter against ``repr``, and the readers' single open of a
-path that cannot be read twice."""
+its float formatter against ``repr``, the row parser against ``int`` and
+``float`` bit for bit, and the readers' single open of a path that
+cannot be read twice."""
 
 import contextlib
+import decimal
+import fractions
 import io
 import os
 import sys
@@ -14,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from chei2d import TwoDRanking, _bulk, read_edge_list, read_rank_table, synth_scale_free
+from chei2d import TwoDRanking, _bulk, read_edge_list, read_rank_table, synth_scale_free, tableio
+from chei2d import graph as graph_module
 from chei2d._bulk import _CHUNK_ROWS, _READ_BYTES, _float_bytes, write_rows
 from chei2d.cli import main
 from conftest import bernoulli_graph
@@ -217,6 +221,301 @@ def test_write_rows_rejects_unequal_columns_before_writing(columns):
     with pytest.raises(ValueError, match="equal length"):
         write_rows(buf, ["header"], *columns)
     assert buf.getvalue() == ""
+
+
+# -- the row parser against a line loop's int() and float() ------------------
+
+_INTS = np.dtype([("a", np.int64), ("b", np.int64)])
+_MIXED = np.dtype([("a", np.int64), ("x", np.float64), ("b", np.int64), ("y", np.float64)])
+_FLOATS = np.dtype([("x", np.float64)])
+
+
+def _loop_rows(text: str, dtype):
+    """The records a line loop reads from ``text``: one per non-blank line,
+    each token through ``int`` or ``float``; None where a line fails."""
+    records = []
+    for line in text.split("\n"):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != len(dtype.names):
+            return None
+        try:
+            record = tuple(float(t) if dtype[j] == np.float64 else int(t)
+                           for j, t in enumerate(tokens))
+        except ValueError:
+            return None
+        if any(type(v) is int and not _INT64.min <= v <= _INT64.max for v in record):
+            return None
+        records.append(record)
+    return np.array(records, dtype=dtype)
+
+
+def _bulk_rows(text: str, dtype, start: int = 0):
+    return _bulk.load_rows(text.encode(), start, dtype)
+
+
+def _assert_bit_equal(bulk, loop):
+    assert bulk is not None and loop is not None
+    assert bulk.dtype == loop.dtype and bulk.tobytes() == loop.tobytes(), (bulk, loop)
+
+
+_DIGIT_RUNS = st.text(alphabet="0123456789", min_size=1, max_size=26)
+
+
+@st.composite
+def float_tokens(draw):
+    """Text that ``float`` reads: a sign, up to 26 digits on each side of
+    an optional point, and an optional exponent; or a ``repr``."""
+    whole, part = draw(_DIGIT_RUNS), draw(_DIGIT_RUNS)
+    mantissa = draw(st.sampled_from([whole, whole + ".", f"{whole}.{part}", "." + part]))
+    exponent = draw(st.sampled_from(["", "e", "E"]))
+    if exponent:
+        exponent += draw(st.sampled_from(["", "+", "-"])) + draw(
+            st.text(alphabet="0123456789", min_size=1, max_size=5))
+    return draw(st.one_of(st.just(draw(st.sampled_from(["", "+", "-"])) + mantissa + exponent),
+                          st.floats(allow_nan=False, allow_infinity=False).map(repr)))
+
+
+_INT_TOKENS = st.one_of(
+    st.integers(-_INT64.max, _INT64.max).map(str),
+    st.integers(0, 999).map(lambda v: f"{v:05d}"),  # leading zeros
+    st.sampled_from([str(_INT64.max), "0", "-0", "+7"]))
+_BLANKS = st.sampled_from([" ", "\t", "  ", " \t ", "\t\t"])
+
+
+@st.composite
+def mixed_texts(draw):
+    """Rows of _MIXED with runs of blanks between tokens, blanks before and
+    after them and blank lines between rows."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        tokens = [draw(_INT_TOKENS), draw(float_tokens()), draw(_INT_TOKENS), draw(float_tokens())]
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + "".join(
+            token + draw(_BLANKS) for token in tokens[:-1]) + tokens[-1]
+            + draw(st.sampled_from(["", " ", "\t "])))
+        lines += [draw(st.sampled_from(["", " ", "\t"]))] * draw(st.integers(0, 1))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@given(mixed_texts())
+def test_load_rows_reads_every_valid_row_as_int_and_float_do(text):
+    bulk, loop = _bulk_rows(text, _MIXED), _loop_rows(text, _MIXED)
+    if loop.size:
+        _assert_bit_equal(bulk, loop)
+    else:  # no rows: an empty block declines, blank lines give none
+        assert bulk is None or not bulk.size
+
+
+@given(st.lists(st.text(alphabet="0123456789.eE+-", min_size=1, max_size=14), min_size=1,
+                max_size=20))
+def test_load_rows_accepts_a_float_token_exactly_where_float_does(tokens):
+    text = "\n".join(tokens) + "\n"
+    bulk, loop = _bulk_rows(text, _FLOATS), _loop_rows(text, _FLOATS)
+    assert (bulk is None) == (loop is None)
+    if loop is not None:
+        _assert_bit_equal(bulk, loop)
+
+
+_INT_TEXT = st.text(alphabet="0123456789+-", min_size=1, max_size=21)
+
+
+@given(st.lists(st.tuples(_INT_TEXT, _INT_TEXT), min_size=1, max_size=10))
+def test_load_rows_reads_integers_as_int_does_or_declines(pairs):
+    text = "".join(f"{a} {b}\n" for a, b in pairs)
+    bulk, loop = _bulk_rows(text, _INTS), _loop_rows(text, _INTS)
+    if bulk is not None:
+        _assert_bit_equal(bulk, loop)
+    # digits alone, up to 19 of them, within int64: always read in bulk
+    tokens = [t for pair in pairs for t in pair]
+    if all(t.isdigit() and len(t) <= 19 and int(t) <= _INT64.max for t in tokens):
+        _assert_bit_equal(bulk, loop)
+
+
+@pytest.mark.parametrize("text", [
+    "1 2\n3 4\n",
+    "1\t2\n3\t\t4\n",
+    "1     2\n3 \t 4\n",
+    "  1 2\n\t3 4\n",
+    "1 2  \n3 4\t\n",
+    "\n\n1 2\n\n \t \n3 4\n\n",
+    "1 2\n3 4",
+    " \n\t\n",
+])
+def test_load_rows_reads_blank_layouts_in_bulk(text):
+    _assert_bit_equal(_bulk_rows(text, _INTS), _loop_rows(text, _INTS))
+
+
+@pytest.mark.parametrize("text", [
+    "1 2\r\n3 4\r\n", "1 2\r3 4\n", "1 2\x0c\n", "1\x0b2\n", "1 2\n# c\n", "1 2 3\n",
+    "1 2\n3\n", "1 2\n3 4 5\n", "", "١ 2\n",
+])
+def test_load_rows_declines_what_the_line_loop_must_decide(text):
+    assert _bulk_rows(text, _INTS) is None
+
+
+@pytest.mark.parametrize("token, value", [
+    (str(_INT64.max), _INT64.max),
+    ("1" * 19, int("1" * 19)),
+    ("0" * 19, 0),
+    ("0000000000000000042", 42),
+    (str(_INT64.max + 1), None),
+    ("1" * 20, None),
+    ("0" * 20, None),  # int() reads it, but more than 19 digits go to the loop
+    ("+5", None),
+    ("-5", None),
+    ("1.0", None),
+    ("1e5", None),
+    ("5.", None),
+])
+def test_load_rows_integer_edges(token, value):
+    rows = _bulk_rows(f"1 {token}\n", _INTS)
+    if value is None:
+        assert rows is None
+    else:
+        assert rows["b"].tolist() == [value]
+
+
+@pytest.mark.parametrize("token, value", [("+5", 5), ("-5", -5), ("-0", 0), ("+", None),
+                                          ("1.0", None), ("1e5", None), ("5-", None)])
+def test_load_rows_reads_a_signed_integer_beside_floats_as_int_does(token, value):
+    rows = _bulk_rows(f"{token} 0.5 1 2.5\n", _MIXED)
+    if value is None:
+        assert rows is None
+    else:
+        assert rows["a"].tolist() == [value]
+
+
+_HALFWAY = [
+    "9007199254740993",  # 2**53 + 1, between two doubles
+    "9007199254740993.0000000000001",
+    "1.00000000000000011102230246251565404236316680908203125",  # 1 + 2**-53
+    "1.00000000000000011102230246251565404236316680908203124",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "2.2250738585072011e-308",
+    "2.2250738585072012e-308",
+    "0.1000000000000000055511151231257827021181583404541015625",
+    "7.2057594037927933e16",
+    "1.7976931348623157e308",
+    "1.7976931348623158e308",
+    "4.9406564584124654e-324",
+    "2.4703282292062328e-324",
+]
+
+
+@pytest.mark.parametrize("token", [
+    ".5", "5.", "-.5", "+5.", "1E+05", "1e-05", "2E2", "1e-400", "-1e-400", "1e400", "-1e400",
+    "-0.0", "0e999", "0.0000000000000000000000000000001", "1234567890123456789012345",
+    "1234567890123.456789012345", "0.1234567890123456789012345e-30", "1e0000000000000000000005",
+    "123456789012345678", "12345678901234567890", "1" * 19 + "e-30", "5e-324", "1e-184", "1e216",
+    "1e-185", "1e217", *_HALFWAY])
+def test_load_rows_reads_floats_as_float_does(token):
+    _assert_bit_equal(_bulk_rows(f"{token}\n", _FLOATS), _loop_rows(f"{token}\n", _FLOATS))
+
+
+@pytest.mark.parametrize("token", [".", "e5", "5e", "5e+", "+", "-", "1.5.5", "1e5.5", "1e5e5",
+                                   "--5", "5-", ".e5", "1_0", "inf", "nan", "0x10", "1,5"])
+def test_load_rows_declines_what_float_rejects(token):
+    assert _bulk_rows(f"{token}\n", _FLOATS) is None
+
+
+def _midpoints(count: int, digits: int, seed: int):
+    """Decimals of ``digits`` significant digits nearest the points halfway
+    between adjacent doubles of random magnitude."""
+    rng = np.random.default_rng(seed)
+    low = rng.integers(1, 2 ** 63, count, dtype=np.uint64).view(np.float64)
+    low = low[np.isfinite(low) & (low != 0)]
+    high = np.nextafter(low, np.inf)
+    with decimal.localcontext() as context:
+        context.prec = 60
+        return [format((decimal.Decimal(a) + decimal.Decimal(b)) / 2, f".{digits - 1}e")
+                for a, b in zip(low.tolist(), high.tolist())]
+
+
+@pytest.mark.parametrize("digits", [16, 17, 18, 19, 20])
+def test_load_rows_reads_near_halfway_decimals_as_float_does(digits):
+    text = "\n".join(_midpoints(4000, digits, digits)) + "\n"
+    _assert_bit_equal(_bulk_rows(text, _FLOATS), _loop_rows(text, _FLOATS))
+
+
+def _exact_ties(odd_multiples, exponents):
+    """(m, q) of the decimals m * 10**-q, m below 10**19 and q the least,
+    that equal each odd multiple of 2**(exponent - 1): exactly halfway
+    between two doubles where the multiple has 54 bits."""
+    ties = []
+    for odd, exponent in zip(odd_multiples, exponents):
+        tie = fractions.Fraction(int(odd)) * fractions.Fraction(2) ** (int(exponent) - 1)
+        q = next(q for q in range(80) if (tie * 10 ** q).denominator == 1)
+        if tie * 10 ** q < 10 ** 19:
+            ties.append((int(tie * 10 ** q), q))
+    return ties
+
+
+def _random_ties(count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return _exact_ties(2 * rng.integers(2 ** 52, 2 ** 53, count) + 1, rng.integers(-20, 10, count))
+
+
+def test_load_rows_reads_exact_ties_as_float_does():
+    # float rounds a tie to even, and a product off by its last bits
+    # rounds about half of them the other way
+    ties = _random_ties(20_000, 1)
+    assert len(ties) > 5000
+    text = "".join(f"{m}e-{q}\n" for m, q in ties)
+    _assert_bit_equal(_bulk_rows(text, _FLOATS), _loop_rows(text, _FLOATS))
+
+
+def test_scaled_decimals_is_never_sure_of_an_exact_tie():
+    # below a power of two the doubles are twice as dense: 2**54 - 1 times
+    # a power of two lies halfway between 2**54 - 2 and 2**54 times it
+    below_powers = _exact_ties([2 ** 54 - 1] * 70, range(-60, 10))
+    ties = _random_ties(2000, 2) + below_powers
+    assert len(below_powers) > 5
+    mantissa = np.array([m for m, _ in ties], dtype=np.uint64)
+    _, sure = _bulk._scaled_decimals(mantissa, -np.array([q for _, q in ties]))
+    assert not sure.any()
+
+
+def test_load_rows_reads_from_start_and_reaches_the_block_edges():
+    text = "# header\n" + "7 0.25 8 1e-3\n" * 3 + "12345678901234567 9.5e300 1 .5"
+    start = text.index("\n") + 1
+    _assert_bit_equal(_bulk_rows(text, _MIXED, start), _loop_rows(text[start:], _MIXED))
+    for tail in ("1", "1 2", "12 3\n"):  # blocks shorter than a word
+        _assert_bit_equal(_bulk_rows(tail, _INTS if " " in tail else _FLOATS),
+                          _loop_rows(tail, _INTS if " " in tail else _FLOATS))
+
+
+def _edge_list_text() -> str:
+    rows = [f"{s}\t{d}" if s % 3 else f"  {s}   {d}  " for s, d in zip(range(1, 400),
+                                                                   range(400, 1, -1))]
+    return "# edges\nN 500\n" + "\n".join(rows[:200]) + "\n\n" + "\n".join(rows[200:]) + "\n"
+
+
+@pytest.mark.parametrize("read_bytes", [1, 2, 3, 5, 7, 8, 9, 16, 31, 64])
+def test_small_blocks_read_as_the_line_loop_reads(read_bytes, tmp_path):
+    rng = np.random.default_rng(3)
+    weighted = "".join(f"{s} {d} {w!r}\n" for s, d, w in zip(
+        range(1, 200), range(200, 1, -1), (rng.random(199) * 1e-3 + 1e-9).tolist()))
+    table = _rank_table().decode().replace(" ", "\t ")
+    cases = [(_edge_list_text(), read_edge_list, graph_module),
+             (weighted, lambda p: read_edge_list(p, weighted=True), graph_module),
+             (table, lambda p: read_rank_table(p)[0].K.tolist(), tableio)]
+    for text, read, module in cases:
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        parsed = []
+
+        def spy(*args):
+            parsed.append(_bulk.load_rows(*args))
+            return parsed[-1]
+
+        with mock.patch.object(_bulk, "_READ_BYTES", read_bytes):
+            with mock.patch.object(module, "load_rows", spy):
+                bulk = read(path)
+            with mock.patch.object(module, "load_rows", lambda *args: None):
+                loop = read(path)
+        assert bulk == loop
+        assert any(rows is not None and rows.size for rows in parsed)
 
 
 _EDGES = b"# nodes 4\n1 2\n2 3\n3 1\n3 4\n"

@@ -194,6 +194,19 @@ def test_read_of_crlf_rank_table_holds_its_text_not_a_stream_of_it(solved, tmp_p
     assert peak <= 200 * g.node_count + 8 * _READ_BYTES + _SLACK
 
 
+def test_read_of_crlf_rank_table_lets_its_bytes_go_before_translating(solved, tmp_path):
+    g, r = solved
+    path = tmp_path / "ranks.tsv"
+    write_rank_table(r, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    # Two copies of the text at most: the bytes and their text, then the
+    # text and its newlines translated, about 65 B/row each; then the text
+    # and the line loop's 40 B rows.  Translated while the joined bytes
+    # were still held, it peaked at 195 B/row.
+    peak = _peak(lambda: read_rank_table(path))
+    assert peak <= 150 * g.node_count + 8 * _READ_BYTES + _SLACK
+
+
 def test_read_of_unsorted_edge_list_peak(solved, tmp_path):
     g, _ = solved
     order = np.random.default_rng(3).permutation(g.link_count)

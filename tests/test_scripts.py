@@ -46,4 +46,5 @@ def test_float_repr_sweep_finds_no_mismatch():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 4 and all(line.endswith(", 0 mismatches") for line in lines), lines
+    # four sets written against repr, three parsed against float
+    assert len(lines) == 7 and all(line.endswith(", 0 mismatches") for line in lines), lines
