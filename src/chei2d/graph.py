@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,6 +49,8 @@ _MAX_INT32 = int(np.iinfo(np.int32).max)
 # The link rows of the bulk edge-list parse: two integer ids, then a weight.
 _LINK_ROW = np.dtype([("src", np.int64), ("dst", np.int64)])
 _WEIGHTED_LINK_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
+# The first non-blank row of a block, past the blank lines before it.
+_FIRST_ROW = re.compile(rb"[ \t\n]*([^\n]*)")
 # Links per block of :meth:`DirectedGraph.link_blocks`, a few MB of
 # per-link temporaries for the passes that walk the links.
 _BLOCK_LINKS = 1 << 17
@@ -114,9 +117,9 @@ class DirectedGraph:
     graph drops any weights it is given.  By default duplicate (src, dst)
     pairs collapse (binary adjacency; weights summed in the order given
     in weighted mode), as every reader and the generator build them.  A
-    graph built with ``collapse=False``, e.g. the link-inversion filter's,
-    may carry parallel links; each one then counts separately toward
-    degrees and column normalization.
+    graph built with ``collapse=False``, e.g. the spam filter's synthetic
+    rank ensemble, may carry parallel links; each one then counts
+    separately toward degrees and column normalization.
 
     Self-loops are legal and kept by default.  Node ids never appearing
     in a link are valid dangling nodes.
@@ -409,16 +412,18 @@ def _load_links(data: bytes, start: int = 0):
     """(src, dst, weight) of an edge-list body, from offset ``start`` of
     ``data``, read in bulk; or None where the line loop must decide: the
     bulk parse declined the body, or it holds an id below 1 or a weight
-    that is not finite and positive."""
-    rows = load_rows(data, start, _LINK_ROW)
+    that is not finite and positive.  The field count of the body's first
+    non-blank row picks the rows' dtype, so each body is parsed once."""
+    weighted = len(_FIRST_ROW.match(data, start).group(1).split()) == 3
+    rows = load_rows(data, start, _WEIGHTED_LINK_ROW if weighted else _LINK_ROW)
     if rows is None:
-        rows = load_rows(data, start, _WEIGHTED_LINK_ROW)
-        if rows is None or not np.all(np.isfinite(rows["weight"]) & (rows["weight"] > 0)):
-            return None
+        return None
+    if weighted and not np.all(np.isfinite(rows["weight"]) & (rows["weight"] > 0)):
+        return None
     if rows.size and min(rows["src"].min(), rows["dst"].min()) < 1:
         return None
     # unit weights of two-column rows, without allocating them
-    weight = rows["weight"] if "weight" in rows.dtype.names else np.broadcast_to(1.0, rows.shape)
+    weight = rows["weight"] if weighted else np.broadcast_to(1.0, rows.shape)
     return rows["src"], rows["dst"], weight
 
 

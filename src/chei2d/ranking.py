@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph
+from .graph import _BLOCK_LINKS, DirectedGraph
 
 __all__ = [
     "DEFAULT_ALPHA",
@@ -199,54 +199,75 @@ def _has_parallel_links(graph: DirectedGraph) -> bool:
 
 
 def _unweighted_matrix(graph: DirectedGraph, alpha: float, swap):
-    """(matrix, dangling columns) of an unweighted graph without parallel
-    links, the links where ``swap`` holds inverted.  Sorts nothing.
+    """(matrix, dangling columns) of a graph without parallel links, the
+    links where ``swap`` holds inverted: any such graph under a bool, an
+    unweighted one under a mask.  Sorts nothing.
 
-    The kept links give PageRank's structure: the counting transpose of
-    the layout restricted to them, whose rows list their tails in
-    ascending order.  The swapped links give CheiRank's: the layout
-    restricted to them, as it stands (with every link swapped, the
-    graph's own ``heads`` and ``indptr``).  Both are canonical CSR with a
-    link count per entry, and their sum counts at most two links an
-    entry, a kept ``u -> v`` and a swapped ``v -> u``.  Each entry is then
-    valued ``alpha / s`` of its tail column, as :func:`normalized_links`
-    values a unit weight, times its count; ``x * 2 == x + x``, so the
-    values equal the summed links' bit for bit."""
+    Under a bool the matrix is the layout as it stands, on the graph's own
+    ``heads`` and ``indptr``: read by column (CSC) it is PageRank's, read
+    by row (CSR) CheiRank's.  Each link is valued by
+    :func:`normalized_links` at its tail's strength; a unit weight's value
+    ``alpha / s`` is computed per node and taken per link.
+
+    Under a mask the kept links give PageRank's structure: the counting
+    transpose of the layout restricted to them, whose rows list their
+    tails in ascending order.  The swapped links give CheiRank's: the
+    layout restricted to them.  Both are canonical CSR with a link count
+    per entry, and their sum counts at most two links an entry, a kept
+    ``u -> v`` and a swapped ``v -> u``.  Each entry is then valued
+    ``alpha / s`` of its tail column times its count; ``x * 2 == x + x``,
+    so the values equal the summed links' bit for bit."""
     import scipy.sparse as sp
 
-    n, heads = graph.node_count, graph.heads
-    if np.ndim(swap):
-        # the swapped links before each row start
-        running = np.zeros(graph.link_count + 1, dtype=heads.dtype)
-        np.cumsum(swap, out=running[1:])
-        swapped_ptr = running[graph.indptr]
-        del running
-        # a take of the flat indices splits faster than boolean indexing
-        kept_columns = heads.take(np.flatnonzero(~swap))
-        swapped_columns = heads.take(np.flatnonzero(swap))
-    else:
-        none = np.empty(0, dtype=heads.dtype)
-        swapped_ptr, kept_columns, swapped_columns = (
-            (graph.indptr, none, heads) if swap else (0, heads, none))
-    kept_ptr = graph.indptr - swapped_ptr
+    n, heads, indptr = graph.node_count, graph.heads, graph.indptr
+    shape = (n, n)
+    if not np.ndim(swap):
+        # a tail's strength: the weight leaving it, or for CheiRank entering it
+        if not swap:
+            strength = tail_strength(graph)
+        elif graph.weighted:
+            strength = np.bincount(heads, weights=graph.weight, minlength=n)
+        else:
+            strength = np.bincount(heads, minlength=n).astype(np.float64)
+        dangling = np.flatnonzero(strength == 0.0)
+        if graph.weighted:
+            at_tail = strength[heads] if swap else graph.at_source(strength)
+            data = normalized_links(at_tail, graph.weight, alpha)
+        else:
+            value = np.divide(alpha, strength, out=strength, where=strength > 0.0)
+            data = value[heads] if swap else graph.at_source(value)
+        layout = sp.csr_matrix if swap else sp.csc_matrix
+        return layout((data, heads, indptr), shape=shape), dangling
+
+    # the swapped links before each row start
+    running = np.zeros(graph.link_count + 1, dtype=heads.dtype)
+    np.cumsum(swap, out=running[1:])
+    swapped_ptr = running[indptr]
+    kept_ptr = indptr - swapped_ptr
+    # Each part's columns, split a block at a time: no whole-length index.
+    # The indices are in range, and "clip" writes to `out` unbuffered.
+    swapped_columns = np.empty(int(running[-1]), dtype=heads.dtype)
+    kept_columns = np.empty(graph.link_count - swapped_columns.size, dtype=heads.dtype)
+    for start in range(0, graph.link_count, _BLOCK_LINKS):
+        stop = min(start + _BLOCK_LINKS, graph.link_count)
+        part, columns = swap[start:stop], heads[start:stop]
+        columns.take(np.flatnonzero(part), mode="clip",
+                     out=swapped_columns[running[start]:running[stop]])
+        columns.take(np.flatnonzero(~part), mode="clip",
+                     out=kept_columns[start - running[start]:stop - running[stop]])
+    del running
 
     # Each array is dropped once used: together they set the build's peak.
-    shape = (n, n)
-    parts = []
-    if kept_columns.size or not swapped_columns.size:
-        kept = sp.csr_matrix((np.ones(kept_columns.size, dtype=np.int8), kept_columns,
-                              kept_ptr), shape=shape)
-        parts.append(kept.T.tocsr())
-        del kept
+    kept = sp.csr_matrix((np.ones(kept_columns.size, dtype=np.int8), kept_columns, kept_ptr),
+                         shape=shape).T.tocsr()
     del kept_columns
-    if swapped_columns.size:
-        parts.append(sp.csr_matrix((np.ones(swapped_columns.size, dtype=np.int8),
-                                    swapped_columns, swapped_ptr), shape=shape))
+    swapped = sp.csr_matrix((np.ones(swapped_columns.size, dtype=np.int8), swapped_columns,
+                             swapped_ptr), shape=shape)
     # a tail's strength: its kept out-links and its swapped in-links
     strength = np.diff(kept_ptr) + np.bincount(swapped_columns, minlength=n)
     del swapped_columns, kept_ptr, swapped_ptr
-    counts = parts[0] + parts[1] if len(parts) == 2 else parts[0]
-    del parts
+    counts = kept + swapped
+    del kept, swapped
 
     strength = strength.astype(np.float64)
     dangling = np.flatnonzero(strength == 0.0)
@@ -258,15 +279,15 @@ def _unweighted_matrix(graph: DirectedGraph, alpha: float, swap):
 
 
 def _summed_matrix(graph: DirectedGraph, alpha: float, swap):
-    """(matrix, dangling columns) of any graph, the links where ``swap``
-    holds inverted: every link as (tail, head, weight), valued by
-    :func:`normalized_links`, and parallel links summed as the graph the
-    swapped links form sums them.  That graph's links are sorted by
-    (tail, head, weight).  Only a weighted graph under a mask is sorted to
-    match: under a bool the links are already in (tail, head, weight) or
-    (head, tail, weight) order, which adds each tail's and each entry's
-    links in the same order, and an unweighted graph's sums are exact
-    integers of equal duplicates."""
+    """(matrix, dangling columns) of a weighted graph under a mask, or of
+    a graph with parallel links, the links where ``swap`` holds inverted:
+    every link as (tail, head, weight), valued by :func:`normalized_links`,
+    and parallel links summed as the graph the swapped links form sums
+    them.  That graph's links are sorted by (tail, head, weight).  Only a
+    weighted graph under a mask is sorted to match: under a bool the links
+    are already in (tail, head, weight) or (head, tail, weight) order,
+    which adds each tail's and each entry's links in the same order, and
+    an unweighted graph's sums are exact integers of equal duplicates."""
     import scipy.sparse as sp
 
     n, weight, dst = graph.node_count, graph.weight, graph.heads
@@ -298,18 +319,23 @@ class StochasticOperator:
     links inverted: ``reverse=True`` (CheiRank) that of the link-reversed
     graph, ``reverse=False`` (PageRank) that of ``graph``.
 
-    - An unweighted graph without parallel links is built from its CSR
-      layout with no sort: PageRank's matrix is scipy's counting
-      transpose of the layout, CheiRank's is the layout as it stands (it
-      shares the graph's ``heads`` and ``indptr`` and adds only a value
-      per link), and a mask's is the sum of the two, each restricted to
-      its links.
-    - Any other graph takes one summing recipe for a bool and a mask
-      alike: every link as (tail, head, weight), each valued by its
-      tail's strength, and parallel links summed by scipy's ``(data,
-      (row, col))`` constructor in the order that the graph the swapped
-      links form would sum them (a weighted graph's links are sorted by
-      (tail, head, weight) under a mask).
+    - Under a bool, a graph without parallel links, weighted or not, is
+      its CSR layout as it stands, with no sort, transpose or copy of it:
+      PageRank's matrix is the layout read by column (CSC), CheiRank's
+      the layout read by row (CSR).  Both share the graph's ``heads`` and
+      ``indptr`` and add only a value per link.
+    - Under a mask, an unweighted graph without parallel links is built
+      with no sort either: the kept links' counting transpose and the
+      swapped links' layout, each restricted to its links, summed.
+    - A weighted graph under a mask, and any graph with parallel links,
+      take one summing recipe: every link as (tail, head, weight), each
+      valued by its tail's strength, and parallel links summed by scipy's
+      ``(data, (row, col))`` constructor in the order that the graph the
+      swapped links form would sum them (a weighted graph's links are
+      sorted by (tail, head, weight) under a mask).
+
+    scipy's CSR and CSC products both add each row's terms in ascending
+    column order from zero, so the storage form changes no sum.
     """
 
     def __init__(self, graph: DirectedGraph, alpha: float = DEFAULT_ALPHA, *,
@@ -324,7 +350,7 @@ class StochasticOperator:
                 raise ValueError("reverse must be a bool or one bool per link")
         self.graph = graph
         self.alpha = float(alpha)
-        if graph.weighted or _has_parallel_links(graph):
+        if (graph.weighted and np.ndim(reverse)) or _has_parallel_links(graph):
             self.matrix, self.dangling = _summed_matrix(graph, self.alpha, reverse)
         else:
             self.matrix, self.dangling = _unweighted_matrix(graph, self.alpha, reverse)

@@ -77,7 +77,7 @@ def correlator(r: TwoDRanking, tau: int = 0) -> float:
     tau = int(tau)
     if abs(tau) >= r.node_count:
         raise ValueError("|tau| must be smaller than the node count")
-    return _shifted_correlator(*_rank_aligned(r), tau)
+    return next(_shifted_correlators(*_rank_aligned(r), [tau]))
 
 
 def _rank_aligned(r: TwoDRanking) -> tuple[np.ndarray, np.ndarray]:
@@ -85,13 +85,19 @@ def _rank_aligned(r: TwoDRanking) -> tuple[np.ndarray, np.ndarray]:
     return r.pagerank.probability_by_rank(), r.cheirank.probabilities[r.pagerank.order - 1]
 
 
-def _shifted_correlator(p_by_rank: np.ndarray, pstar_at_rank: np.ndarray, tau: int) -> float:
+def _shifted_correlators(p_by_rank: np.ndarray, pstar_at_rank: np.ndarray, taus):
+    """kappa at each shift of ``taus``.  Each shift's products go into one
+    reused buffer, and numpy's pairwise ``np.add.reduce`` adds them: unlike
+    a BLAS dot product, its bits depend on no thread count or CPU kernel."""
     n = p_by_rank.size
-    if tau >= 0:
-        s = np.dot(p_by_rank[tau:], pstar_at_rank[: n - tau])
-    else:
-        s = np.dot(p_by_rank[: n + tau], pstar_at_rank[-tau:])
-    return float(n * s - 1.0)
+    products = np.empty(n)
+    for tau in taus:
+        m = n - abs(tau)
+        if tau >= 0:
+            np.multiply(p_by_rank[tau:], pstar_at_rank[:m], out=products[:m])
+        else:
+            np.multiply(p_by_rank[:m], pstar_at_rank[-tau:], out=products[:m])
+        yield float(n * np.add.reduce(products[:m]) - 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,8 +122,8 @@ def correlator_series(
     lo = max(tau_min, -(n - 1))
     hi = min(tau_max, n - 1)
     taus = np.arange(lo, hi + 1, dtype=np.int64)
-    aligned = _rank_aligned(r)
-    kappas = np.array([_shifted_correlator(*aligned, int(t)) for t in taus])
+    kappas = np.fromiter(_shifted_correlators(*_rank_aligned(r), taus.tolist()),
+                         dtype=np.float64, count=taus.size)
     return CorrelatorSeries(taus, kappas)
 
 

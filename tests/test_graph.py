@@ -411,20 +411,22 @@ def _outcome(parse, text, **kwargs):
 
 def _bulk_and_loop(text, **kwargs):
     """parse_edge_list's outcome as is, whether numpy's two-id row parse
-    accepted the body, and the outcome with the bulk path declining every
-    input."""
+    accepted the body (False where a first row of three fields picks the
+    weighted parse instead), and the outcome with the bulk path declining
+    every input."""
     accepted = []
 
-    def spy(*args):
-        rows = load_rows(*args)
-        accepted.append(rows is not None)
+    def spy(data, start, dtype):
+        rows = load_rows(data, start, dtype)
+        if dtype == graph_module._LINK_ROW:
+            accepted.append(rows is not None)
         return rows
 
     with mock.patch.object(graph_module, "load_rows", spy):
         bulk = _outcome(parse_edge_list, text, **kwargs)
     with mock.patch.object(graph_module, "load_rows", lambda *args: None):
         loop = _outcome(parse_edge_list, text, **kwargs)
-    return bulk, accepted[0], loop
+    return bulk, accepted[:1] == [True], loop
 
 
 def _assert_same(bulk, loop):
@@ -809,3 +811,22 @@ def test_sorted_read_builds_the_layout_of_from_links(tmp_path):
     assert back.heads.dtype == g.heads.dtype and back.indptr.dtype == g.indptr.dtype
     assert not back.heads.flags.writeable and not back.indptr.flags.writeable
     assert back.weight.strides == (0,)
+
+
+def test_each_block_of_a_weighted_file_is_parsed_once(tmp_path):
+    g = synth_scale_free(2_000, 2.1, 2.7, 3, links=20_000)
+    weights = np.random.default_rng(3).choice([0.5, 1.0, 2.0, 3.0], g.link_count)
+    g = DirectedGraph.from_links(g.node_count, g.src, g.dst, weights, weighted=True)
+    path = tmp_path / "edges.txt"
+    write_edge_list(g, path)
+    parses = []
+
+    def spy(data, start, dtype):
+        parses.append((data, start))
+        return load_rows(data, start, dtype)
+
+    with mock.patch.object(_bulk, "_READ_BYTES", 4096), \
+            mock.patch.object(graph_module, "load_rows", spy):
+        back = read_edge_list(path, weighted=True)
+    assert back == g
+    assert len(parses) > 10 and len(set(parses)) == len(parses)

@@ -8,7 +8,11 @@ edge-list read's bound.  A link gather indexes the per-node values by
 the graph's int32 ``heads`` as they stand, with no int64 copy of
 ``dst``; unweighted operators are built with no sort.  Before both, the
 peaks were 48.8 B/link (``filtered_cheirank``, set by the masked build),
-37.2 (``matrix_density_render``) and 34.6 (``compute_flow``).
+37.2 (``matrix_density_render``) and 34.6 (``compute_flow``).  PageRank's
+and CheiRank's operators are the graph's layout as it stands, weighted or
+not, so their builds hold the links' values and per-node arrays alone;
+built by a counting transpose and by the summing recipe, PageRank's
+peaked at 14.3 B/link and a weighted graph's at 29.3.
 
 The inversion mask, the fraction curve, the flow field and the matrix
 render walk the links in blocks of whole rows (``link_blocks``), so
@@ -80,6 +84,30 @@ def test_masked_operator_build_peak(solved):
     mask = filter_links_by_prob(g, r.pagerank, 10.0).mask
     # int32 indices, float64 values and an int8 link count per entry
     assert _peak(lambda: StochasticOperator(g, reverse=mask)) <= 14.4 * g.link_count + _SLACK
+
+
+@pytest.fixture(scope="module")
+def weighted(solved):
+    g, _ = solved
+    weights = np.random.default_rng(5).random(g.link_count) + 0.5
+    weighted = DirectedGraph.from_links(g.node_count, g.src, g.dst, weights, weighted=True)
+    weighted.out_degree  # cached before any peak is taken, as in `solved`
+    return weighted
+
+
+def test_pagerank_operator_build_peak(solved):
+    g, _ = solved
+    # the layout as it stands, read by column: a value per link and two
+    # N-long arrays
+    peak = _peak(lambda: StochasticOperator(g))
+    assert peak <= 8 * g.link_count + 16 * g.node_count + _SLACK
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_weighted_operator_build_peak(weighted, reverse):
+    # each link's tail strength and its value, and two N-long arrays
+    peak = _peak(lambda: StochasticOperator(weighted, reverse=reverse))
+    assert peak <= 16 * weighted.link_count + 16 * weighted.node_count + _SLACK
 
 
 def test_filtered_cheirank_peak(solved):

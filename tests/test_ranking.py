@@ -87,8 +87,10 @@ def test_cheirank_three_cycle_uniform(three_cycle):
 
 
 def _assert_same_operator(a, b):
+    # entry by entry, in one storage form: PageRank's matrix is CSC
+    a_matrix, b_matrix = a.matrix.tocsr(), b.matrix.tocsr()
     for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(a.matrix, name), getattr(b.matrix, name))
+        assert np.array_equal(getattr(a_matrix, name), getattr(b_matrix, name))
     assert np.array_equal(a.dangling, b.dangling)
 
 
@@ -219,21 +221,30 @@ def test_parallel_self_loops_keep_the_summing_path():
                               _coo_reference_operator(g, reverse))
 
 
+def _weighted_copy(g, seed):
+    weights = np.random.default_rng(seed).choice([0.5, 1.0, 2.0, 3.0], g.link_count)
+    return DirectedGraph.from_links(g.node_count, g.src, g.dst, weights, weighted=True)
+
+
 def test_unweighted_operator_sorts_nothing(monkeypatch):
     g = bernoulli_graph(3, n=60, density=0.2)
     mask = np.random.default_rng(3).random(g.link_count) < 0.5
     # both orientations of some links, so the parts share entries
     mask[::7] = True
-    expected = [_coo_reference_operator(g, reverse) for reverse in (False, True, mask)]
+    weighted = _weighted_copy(g, 3)
+    # an unweighted graph under a bool or a mask, a weighted one under a bool
+    builds = [(g, False), (g, True), (g, mask), (weighted, False), (weighted, True)]
+    expected = [_coo_reference_operator(graph, reverse) for graph, reverse in builds]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the unweighted builder sorted")
+        raise AssertionError("the sort-free builder sorted")
 
     for owner, name in [(np, "lexsort"), (np, "argsort"), (np, "sort"),
                         (sp.csr_matrix, "sort_indices"), (sp.csr_matrix, "sum_duplicates"),
+                        (sp.csc_matrix, "sort_indices"), (sp.csc_matrix, "sum_duplicates"),
                         (ranking, "_summed_matrix")]:
         monkeypatch.setattr(owner, name, refuse)
-    built = [StochasticOperator(g, reverse=reverse) for reverse in (False, True, mask)]
+    built = [StochasticOperator(graph, reverse=reverse) for graph, reverse in builds]
     monkeypatch.undo()
     for op, reference in zip(built, expected):
         _assert_same_operator(op, reference)
@@ -244,6 +255,18 @@ def test_cheirank_matrix_shares_the_graph_layout():
     matrix = StochasticOperator(g, reverse=True).matrix
     assert np.shares_memory(matrix.indices, g.heads)
     assert np.shares_memory(matrix.indptr, g.indptr)
+
+
+def test_bool_operators_are_the_graph_layout_as_it_stands():
+    g = bernoulli_graph(5, n=80, density=0.1)
+    # PageRank's matrix is the layout read by column, CheiRank's read by row
+    for graph in (g, _weighted_copy(g, 5)):
+        for reverse, layout in ((False, sp.csc_matrix), (True, sp.csr_matrix)):
+            op = StochasticOperator(graph, reverse=reverse)
+            assert type(op.matrix) is layout
+            assert np.shares_memory(op.matrix.indices, graph.heads)
+            assert np.shares_memory(op.matrix.indptr, graph.indptr)
+            _assert_same_operator(op, _coo_reference_operator(graph, reverse))
 
 
 def test_swap_mask_must_be_one_bool_per_link(three_cycle):

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from chei2d import (
     parse_edge_list,
     point_count,
     point_count_curve,
+    synth_scale_free,
+    write_rank_table,
     ExponentFitError,
 )
 from conftest import bernoulli_graph
@@ -97,6 +103,30 @@ def test_correlator_series_holds_scalar_at_zero():
     assert at_zero == correlator(r, 0)
     assert series.tau.min() == -2 and series.tau.max() == 2
     assert series.kappa.tolist() == [correlator(r, t) for t in range(-2, 3)]
+
+
+# Prints the correlator series of the rank table in argv[1], as hex bytes.
+_SERIES_CHILD = """
+import sys
+from chei2d import correlator_series, read_rank_table
+print(correlator_series(read_rank_table(sys.argv[1])[0]).kappa.tobytes().hex())
+"""
+
+
+def test_correlator_series_bits_depend_on_no_blas_setting(tmp_path):
+    g = synth_scale_free(20_000, 2.1, 2.7, 7, links=200_000)
+    path = tmp_path / "ranks.tsv"
+    write_rank_table(TwoDRanking.compute(g), path)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    # BLAS' threads and CPU kernels each add a dot product in their own order
+    series = set()
+    for setting in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_CORETYPE": "Haswell"},
+                    {"OPENBLAS_CORETYPE": "Prescott"}):
+        done = subprocess.run([sys.executable, "-c", _SERIES_CHILD, str(path)],
+                              env=env | setting, capture_output=True, text=True, check=True)
+        series.add(done.stdout)
+    assert len(series) == 1
 
 
 def test_correlator_series_clips_to_valid_window():
