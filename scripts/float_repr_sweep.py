@@ -11,7 +11,10 @@ parses text as the readers do, in blocks of rows, and compares each
 value with ``float`` of its text, bit for bit: the ``repr`` of every
 finite value above, random decimals of 1 to 25 digits, and decimals of
 16 to 20 digits nearest the points halfway between adjacent doubles.
-Prints, per set, how many values took the fallback (``repr`` when
+Last, whole rank-table rows ``node P K Pstar Kstar`` made from the
+finite values above by ``write_rows`` are read back by ``load_rows``
+block by block, as ``read_rank_table`` reads them, and compared with
+``int`` and ``float`` of their tokens.  Prints, per set, how many values took the fallback (``repr`` when
 writing, ``float`` when reading) and how many differ, and exits 1 on any
 difference.
 
@@ -20,12 +23,14 @@ difference.
 
 import argparse
 import decimal
+import io
 from unittest import mock
 
 import numpy as np
 
 from chei2d import _bulk
-from chei2d._bulk import _CHUNK_ROWS, _float_bytes
+from chei2d._bulk import _CHUNK_ROWS, _float_bytes, write_rows
+from chei2d.tableio import _ROW as _TABLE_ROW
 
 _ULPS = 50  # doubles on each side of a power of ten or two
 _BLOCK_ROWS = 1 << 14  # rows of one parsed block, about a read's worth
@@ -116,6 +121,35 @@ def compare_parse(texts: list[str]) -> tuple[int, list[tuple[str, str, str]]]:
     return fallback.call_count, mismatches
 
 
+def compare_table(values: np.ndarray, seed: int) -> tuple[int, int, list[tuple[str, str, str]]]:
+    """Row count, count of values ``float`` itself read, and the (token,
+    parsed, expected) of each mismatch, for the rank-table rows made from
+    the finite ``values``, two a row, with random ids and ranks."""
+    finite = values[np.isfinite(values)]
+    n = finite.size // 2
+    rng = np.random.default_rng(seed)
+    columns = (np.arange(1, n + 1), finite[:n], rng.permutation(n) + 1, finite[n:2 * n],
+               rng.permutation(n) + 1)
+    fp = io.StringIO()
+    write_rows(fp, [], *columns, sep=" ")
+    data = fp.getvalue().encode()
+    fallback = mock.Mock(wraps=float)
+    with mock.patch.object(_bulk, "float", fallback, create=True):
+        parts = [_bulk.load_rows(block, 0, _TABLE_ROW) for block in _bulk._blocks(io.BytesIO(data))]
+    if any(rows is None for rows in parts):
+        return n, fallback.call_count, [("<a block>", "declined", "rows")]
+    rows = np.concatenate(parts)
+    tokens = data.decode("ascii").split()
+    mismatches = []
+    for j, name in enumerate(_TABLE_ROW.names):
+        kind = float if _TABLE_ROW[name] == np.float64 else int
+        expected = np.array([kind(t) for t in tokens[j::5]], dtype=_TABLE_ROW[name])
+        wrong = np.flatnonzero(rows[name].view(np.uint64) != expected.view(np.uint64))
+        mismatches += [(tokens[5 * i + j], repr(rows[name][i].item()), repr(expected[i].item()))
+                       for i in wrong.tolist()]
+    return n, fallback.call_count, mismatches
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--values", type=int, default=2_000_000,
@@ -140,6 +174,12 @@ def main() -> int:
         for text, parsed, expected in mismatches[:10]:
             print(f"  {text}: read {parsed}, float {expected}")
         failed |= bool(mismatches)
+    rows, fallbacks, mismatches = compare_table(np.concatenate(written), args.seed)
+    print(f"rank-table rows read back: {rows} rows, {fallbacks} floats through float "
+          f"({fallbacks / max(2 * rows, 1):.2%}), {len(mismatches)} mismatches")
+    for text, parsed, expected in mismatches[:10]:
+        print(f"  {text}: read {parsed}, expected {expected}")
+    failed |= bool(mismatches)
     return 1 if failed else 0
 
 

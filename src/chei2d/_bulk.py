@@ -62,6 +62,10 @@ _MANTISSA = np.uint64(2 ** 52 - 1)
 _POWERS_OF_TEN = 10 ** np.arange(17, dtype=np.int64)
 _U64_POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
 _ASCII_ZEROS = np.uint64(int.from_bytes(b"0" * 8, "little"))
+# Bytes as uint8 scalars, so that comparisons and arithmetic on a block
+# take numpy's uint8 loops.
+_TAB, _NEWLINE, _RETURN, _SPACE = (np.uint8(ord(c)) for c in "\t\n\r ")
+_ZERO, _TEN = np.uint8(ord("0")), np.uint8(10)
 
 
 def write_rows(fp: IO[str], header_lines, *columns, sep: str = "\t") -> None:
@@ -341,10 +345,16 @@ def read_blocks(fp, is_head, load, add, decode) -> tuple[str, str, int]:
     made by ``decode(parts, first_line)`` from a list of byte strings,
     which it empties.  The caller's line loop reads ``head``,
     then ``rest`` (see :func:`split_lines`): every outcome and error is
-    the line loop's."""
+    the line loop's, but for a UTF-8 byte-order mark before the first
+    line, a ValueError that names it.  Decoded text keeps the mark, and
+    no line loop reads it as a number or a '#'."""
     blocks = _blocks(fp)
+    first = next(blocks, b"")
+    if first.startswith(b"\xef\xbb\xbf"):
+        raise ValueError("line 1: starts with a UTF-8 byte-order mark (U+FEFF); "
+                         "save the text without it")
     head = bytearray()
-    for block in blocks:
+    for block in chain([first], blocks):
         start = leading_block_end(block, is_head)
         head += block[:start]
         if start < len(block):
@@ -382,15 +392,16 @@ def split_lines(text: str):
 
 def leading_block_end(data: bytes, is_head) -> int:
     """Offset of the first line of ``data`` whose stripped bytes fail
-    ``is_head`` or that holds a carriage return; ``len(data)`` when no
-    line does.  A carriage return ends the block because where it breaks
-    a line depends on how the text is decoded, so the body, and the line
-    loop with it, starts there."""
+    ``is_head`` or that holds a carriage return other than one right
+    before its newline; ``len(data)`` when no line does.  A lone carriage
+    return ends the block because where it breaks a line depends on how
+    the text is decoded, so the body, and the line loop with it, starts
+    there."""
     pos = 0
     while pos < len(data):
         end = data.find(b"\n", pos) + 1 or len(data)
         line = data[pos:end]
-        if b"\r" in line or not is_head(line.strip()):
+        if line.count(b"\r") != line.endswith(b"\r\n") or not is_head(line.strip()):
             break
         pos = end
     return pos
@@ -404,22 +415,29 @@ def load_rows(data: bytes, start: int, dtype: np.dtype) -> np.ndarray | None:
     or ``float`` reads from the line's token for it: tokens are split by
     runs of spaces and tabs, and a line may start and end with them.
     None when that part is empty, holds a byte other than ASCII digits,
-    space, tab, newline and, where ``dtype`` has a float field,
-    ``.eE+-``, or when a line's token count differs from the field
-    count, a token is not a number, or an integer has more than 19
-    digits or lies outside int64.  Those bytes rule out what ``int`` and
-    ``float`` read but this parse does not (underscores, non-ASCII
-    digits, ``inf``/``nan``), and carriage returns, which a line loop
-    over a string does not split on.  An integer may carry a sign only
-    where ``dtype`` has a float field, as numpy's text reader, which this
-    parse replaced, took them.  Blocks over 2 GB, whose offsets int32
-    does not hold, are declined too.
+    space, tab, newline, a carriage return right before a newline and,
+    where ``dtype`` has a float field, ``.eE+-``, or when a line's token
+    count differs from the field count, a token is not a number, or an
+    integer has more than 19 digits or lies outside int64.  Those bytes
+    rule out what ``int`` and ``float`` read but this parse does not
+    (underscores, non-ASCII digits, ``inf``/``nan``), and lone carriage
+    returns, which universal newlines read as line ends and a line loop
+    over a string does not.  An integer may carry a sign only where
+    ``dtype`` has a float field, as numpy's text reader, which this parse
+    replaced, took them.  Blocks over 2 GB, whose offsets int32 does not
+    hold, are declined too.
 
-    The parse is numpy's, about a hundred array operations a block.
-    Digit strings are read 8 bytes at a time (see :func:`_eight_digits`), and a
+    The parse is numpy's, about fifty array operations a block of
+    integers and a hundred with float fields.  Where every gap between
+    tokens is one byte, the tokens' bounds are the blanks' offsets (see
+    :func:`_tokens`).  Digit strings are read 8 bytes at a time (see
+    :func:`_eight_digits`), and one or two digits as single bytes.  A
     float is its decimal digits m times a power of ten q, rounded to the
     nearest double by :func:`_scaled_decimals`; ``float`` itself reads
-    the few tokens for which that cannot be sure.
+    the few tokens for which that cannot be sure.  Its point and
+    exponent mark are looked for where the common shapes put them (see
+    :func:`_shaped_marks`), and among all the block's symbols only where
+    that does not account for every symbol.
     """
     if start >= len(data) or len(data) > _INT32_MAX:
         return None
@@ -427,60 +445,105 @@ def load_rows(data: bytes, start: int, dtype: np.dtype) -> np.ndarray | None:
     any_float = bool(floats.any())
     text = np.frombuffer(data, dtype=np.uint8)
     body = text[start:]
-    solid = body > ord(" ")
-    digit = np.subtract(body, ord("0"), dtype=np.uint8) < 10
-    blanks = body.size - np.count_nonzero(solid)
-    if blanks != sum(np.count_nonzero(body == ord(c)) for c in " \t\n"):
-        return None  # a carriage return, a form feed or another control byte
-    if not any_float and np.count_nonzero(digit) != body.size - blanks:
+    tokens = _tokens(text, start, floats.size)
+    if tokens is None:
+        return None
+    starts, ends, blanks = tokens
+    # bytes above space other than digits (uint8 operands: numpy's uint8 loops)
+    symbols = body.size - blanks - np.count_nonzero(np.subtract(body, _ZERO) < _TEN)
+    if not any_float and symbols:
         return None  # integers alone, and a byte other than a digit
-    bounds = np.flatnonzero(np.diff(solid, prepend=False, append=False)).astype(np.int32)
-    bounds += start
-    starts, ends = bounds[0::2].copy(), bounds[1::2].copy()  # of each token
-    del bounds
     fields, count = floats.size, starts.size
     if not count:
         return np.zeros(0, dtype=dtype)  # blank lines alone
-    if count % fields or not _one_row_a_line(text, starts, ends, fields):
-        return None
     # the block from byte 8 of aligned words, zero before and after it,
     # so that the 8 bytes before any offset lie in two words (see
     # _eight_digits)
     words = np.zeros(len(data) // 8 + 2, dtype=np.uint64)
     words.view(np.uint8)[8:8 + len(data)] = text
     if not any_float:
-        del solid, digit, body
         values = _integers(words, starts, ends)
         return None if values is None else values.view(dtype)
-    symbols = np.flatnonzero(solid > digit).astype(np.int32)  # solid, not digits
-    del solid, digit, body
-    symbols += start
     lead = text.take(starts)  # a leading sign, on a token of any field
     negative = lead == ord("-")
     begin = starts + (negative | (lead == ord("+")))
     del lead
-    first = np.arange(0, count, fields, dtype=np.int32)[:, None]
+    signs = np.count_nonzero(begin - starts)
     out = np.empty(count // fields, dtype=dtype)
     for kind in (False, True):  # the integer fields, then the float fields
         columns = np.flatnonzero(floats == kind)
         if not columns.size:
             continue
-        pick = (first + columns).ravel()
-        field_begin, field_end = begin.take(pick), ends.take(pick)
+
+        def pick(a):
+            return a.reshape(-1, fields)[:, columns].ravel()
+
+        field_begin, field_end = pick(begin), pick(ends)
         if kind:
-            marks = _marks(text, symbols, field_begin, field_end,
-                           np.count_nonzero(begin - starts))
+            marks = _shaped_marks(text, field_begin, field_end, symbols - signs)
+            if marks is None:
+                marks = _marks(text, start + np.flatnonzero((body > _SPACE) & (body - _ZERO >= _TEN)),
+                               field_begin, field_end, signs)
             value = None if marks is None else _floats(
-                data, words, starts.take(pick), field_begin, field_end, *marks)
+                data, text, words, pick(starts), field_begin, field_end, *marks)
         else:
             value = _integers(words, field_begin, field_end)
         if value is None:
             return None
-        np.negative(value, out=value, where=negative.take(pick))
+        if signs:
+            np.negative(value, out=value, where=pick(negative))
         value = value.reshape(out.size, -1)
         for j, column in enumerate(columns):
             out[dtype.names[column]] = value[:, j]
     return out
+
+
+def _tokens(text: np.ndarray, start: int, fields: int):
+    """``(starts, ends, blanks)``: int32 offsets of the tokens of ``text``
+    from ``start`` on, runs of bytes above space, and the count of the
+    other bytes; or None where one of those is not a blank (space, tab,
+    newline, or a carriage return right before a newline) or the tokens
+    do not make one row of ``fields`` tokens a line.
+
+    Where the part starts with a token and every gap between tokens is
+    one byte, as in every file this package writes, the blanks' offsets
+    are the tokens' ends and, one byte on, the next tokens' starts, and
+    a gap byte is a newline exactly where a row ends.  Otherwise the
+    bounds are where ``solid`` changes, and the rows are checked by
+    :func:`_one_row_a_line`."""
+    body = text[start:]
+    solid = body > _SPACE
+    gaps = np.flatnonzero(~solid)
+    count = np.count_nonzero(solid[1:] > solid[:-1]) + bool(solid[0])  # token starts
+    if solid[0] and gaps.size == count - solid[-1]:
+        gap = body.take(gaps)
+        newline = gap == _NEWLINE
+        newlines = np.count_nonzero(newline)
+        # a row's last token ends at a newline or at the end of the block,
+        # and no other token does
+        if (np.count_nonzero(gap == _SPACE) + np.count_nonzero(gap == _TAB) + newlines != gap.size
+                or (newlines + solid[-1]) * fields != count
+                or not newline[fields - 1::fields].all()):
+            return None
+        ends = np.full(count, body.size, dtype=np.int32)
+        ends[:gaps.size] = gaps
+        ends += start
+        starts = np.empty_like(ends)
+        starts[0] = start
+        np.add(ends[:-1], 1, out=starts[1:])
+        return starts, ends, gaps.size
+    returns = np.count_nonzero(body == _RETURN)
+    if returns and returns != np.count_nonzero((body[:-1] == _RETURN) & (body[1:] == _NEWLINE)):
+        return None  # a lone carriage return
+    if gaps.size != returns + sum(np.count_nonzero(body == c) for c in (_SPACE, _TAB, _NEWLINE)):
+        return None  # a form feed or another control byte
+    bounds = np.flatnonzero(np.diff(solid, prepend=False, append=False)).astype(np.int32)
+    bounds += start
+    starts, ends = bounds[0::2].copy(), bounds[1::2].copy()
+    del bounds
+    if starts.size and (starts.size % fields or not _one_row_a_line(text, starts, ends, fields)):
+        return None
+    return starts, ends, gaps.size
 
 
 def _one_row_a_line(text: np.ndarray, starts: np.ndarray, ends: np.ndarray, fields: int) -> bool:
@@ -497,6 +560,31 @@ def _one_row_a_line(text: np.ndarray, starts: np.ndarray, ends: np.ndarray, fiel
                         > np.searchsorted(newlines, after[long]))
     rows = np.append(breaks, True).reshape(-1, fields)
     return bool(rows[:, -1].all()) and not rows[:, :-1].any()
+
+
+def _shaped_marks(text: np.ndarray, begin: np.ndarray, ends: np.ndarray, symbols: int):
+    """:func:`_marks` of the float tokens from ``begin`` to ``ends`` where
+    each has its point, if any, right after its first digit and its mark,
+    if any, before a sign and two digits, as ``repr`` writes a float
+    between 1e-99 and 1e100; or None where ``symbols``, the count of the
+    block's bytes above space other than digits and leading signs, is not
+    the count of those points, marks and signs.
+
+    Each point, mark and sign found lies in its own token, on a byte of
+    its own, so where they are every one of those bytes, every other byte
+    of every token is a digit."""
+    pointed = (text.take(begin + 1, mode="clip") == ord(".")) & (begin + 1 < ends)
+    mark_at = ends - 4
+    sign = text.take(ends - 3, mode="clip").view(np.int8)
+    exponent_sign = (sign == ord("+")).view(np.int8) - (sign == ord("-"))
+    marked = (((text.take(mark_at, mode="clip") | 0x20) == ord("e"))
+              & (exponent_sign != 0) & (mark_at > begin))
+    if np.count_nonzero(pointed) + 2 * np.count_nonzero(marked) != symbols:
+        return None
+    mark = np.where(marked, mark_at, ends)
+    point = np.where(pointed, begin + 1, mark)
+    exponent_sign *= marked
+    return point, mark, exponent_sign
 
 
 def _marks(text: np.ndarray, at: np.ndarray, begin: np.ndarray, ends: np.ndarray,
@@ -557,7 +645,7 @@ def _integers(words: np.ndarray, begin: np.ndarray, ends: np.ndarray) -> np.ndar
     return value.view(np.int64)
 
 
-def _floats(data, words, starts, begin, ends, point, mark, exponent_sign):
+def _floats(data, text, words, starts, begin, ends, point, mark, exponent_sign):
     """The magnitudes of the float tokens from ``starts`` to ``ends``, as
     ``float`` reads them, from their digits' ``begin`` and the ``point``,
     ``mark`` and ``exponent_sign`` of :func:`_marks`; or None where a token
@@ -573,13 +661,12 @@ def _floats(data, words, starts, begin, ends, point, mark, exponent_sign):
             and np.all(exponent_count != 1)):
         return None
     exponent_count -= exponent_count > 0
-    # the whole part, the fraction and the exponent, read at once
-    digits, fits = _digit_values(words, np.concatenate([point, mark, ends]),
-                                 np.concatenate([whole_count, part_count, exponent_count]))
-    whole, part, exponent = digits.reshape(3, -1)
+    whole, whole_fits = _digits(text, words, point, whole_count)
+    part, part_fits = _digit_values(words, mark, part_count)
+    exponent, exponent_fits = _digits(text, words, ends, exponent_count)
     # m = whole * 10**part_count + part, exact below 10**19
-    exact = fits.reshape(3, -1).all(axis=0)
-    exact &= whole < _U64_POWERS_OF_TEN.take(np.clip(19 - part_count, 0, 19))
+    exact = whole < _U64_POWERS_OF_TEN.take(np.clip(19 - part_count, 0, 19))
+    exact &= whole_fits & part_fits & exponent_fits
     mantissa = whole * _U64_POWERS_OF_TEN.take(np.minimum(part_count, 19)) + part
     scale = np.minimum(exponent, np.uint64(1 << 20)).astype(np.int64)
     scale *= exponent_sign | 1  # -1 for a '-', 1 otherwise
@@ -590,20 +677,43 @@ def _floats(data, words, starts, begin, ends, point, mark, exponent_sign):
     return values
 
 
+def _digits(text: np.ndarray, words: np.ndarray, end: np.ndarray, count: np.ndarray):
+    """:func:`_digit_values` of the ``count`` digits before each offset
+    ``end``, read as single bytes where no count is over 2: a float's
+    whole part and exponent, as ``repr`` writes them."""
+    if count.max() > 2:
+        return _digit_values(words, end, count)
+    value = text.take(end - 1, mode="clip") ^ _ZERO  # each byte a digit's value
+    value *= count > 0
+    if count.max() == 2:
+        tens = text.take(end - 2, mode="clip") ^ _ZERO
+        tens *= count > 1
+        value += tens * np.uint8(10)
+    return value.astype(np.uint64), True
+
+
 def _digit_values(words: np.ndarray, end: np.ndarray, count: np.ndarray):
     """``(value, fits)`` of the ``count`` decimal digits before each offset
     ``end`` of a block, in ``words`` as :func:`load_rows` lays it out:
     ``value`` is exact where ``fits``, where the count is at most 24 and
     the value below 10**19.  A string takes up to three words of 8
-    digits, each read by :func:`_eight_digits`."""
-    value = _eight_digits(words, end, np.minimum(count, 8).astype(np.uint8))
+    digits, each read by :func:`_eight_digits`, the second and third for
+    all strings where most are that long and else for the longer ones
+    alone."""
+    value = _eight_digits(words, end, np.minimum(count, 8))
     fits = count <= 24
     for k in (1, 2):
-        rows = np.flatnonzero(count > 8 * k)
-        if not rows.size:
+        longer = count > 8 * k
+        rows = np.count_nonzero(longer)
+        if not rows:
             break
-        digits = _eight_digits(words, end.take(rows) - 8 * k,
-                               np.minimum(count.take(rows) - 8 * k, 8))
+        if 2 * rows < count.size:
+            rows = np.flatnonzero(longer)
+            digits = _eight_digits(words, end.take(rows) - 8 * k,
+                                   np.minimum(count.take(rows) - 8 * k, 8))
+        else:  # a string of none gives 0
+            rows = slice(None)
+            digits = _eight_digits(words, end - 8 * k, np.clip(count - 8 * k, 0, 8))
         if k == 2:
             fits[rows] &= digits < 1000
         digits *= np.uint64(10 ** (8 * k))  # wraps only where it does not fit

@@ -50,7 +50,7 @@ _MAX_INT32 = int(np.iinfo(np.int32).max)
 _LINK_ROW = np.dtype([("src", np.int64), ("dst", np.int64)])
 _WEIGHTED_LINK_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
 # The first non-blank row of a block, past the blank lines before it.
-_FIRST_ROW = re.compile(rb"[ \t\n]*([^\n]*)")
+_FIRST_ROW = re.compile(rb"[ \t\r\n]*([^\n]*)")
 # Links per block of :meth:`DirectedGraph.link_blocks`, a few MB of
 # per-link temporaries for the passes that walk the links.
 _BLOCK_LINKS = 1 << 17
@@ -82,10 +82,14 @@ def _in_order(*keys: np.ndarray) -> bool:
     return True
 
 
-def _row_ends(src: np.ndarray, offset: int = 0):
+def _row_ends(src: np.ndarray, offset: int = 0, changes: np.ndarray | None = None):
     """(sources, ends) of sorted link sources: each source once, with the
-    index just past its last link, links counted from ``offset``."""
-    last = np.append(np.flatnonzero(src[1:] != src[:-1]), src.size - 1)
+    index just past its last link, links counted from ``offset``.
+    ``changes``, where given, marks the links whose source differs from
+    the next link's."""
+    if changes is None:
+        changes = src[1:] != src[:-1]
+    last = np.append(np.flatnonzero(changes), src.size - 1)
     return src[last], last + (offset + 1)
 
 
@@ -367,8 +371,10 @@ class _LinkRows:
             weight = weight[keep] if weight.strides[0] else np.broadcast_to(1.0, src.shape)
             if not src.size:
                 return
-        if self.columns is None and self._continues_rows(src, dst):
-            self.rows.append(_row_ends(src, len(self.heads)))
+        steps = None if self.columns is not None else self._row_steps(src, dst)
+        if steps is not None:
+            # a step of a source or more is a new source: dst lies within int32
+            self.rows.append(_row_ends(src, len(self.heads), steps > _MAX_INT32))
             heads = dst.astype(np.int32)
             heads -= 1
             self.heads.frombytes(heads.view(np.uint8))
@@ -380,14 +386,17 @@ class _LinkRows:
         for column, values in zip(self.columns, (src, dst, weight)):
             column.frombytes(np.ascontiguousarray(values, dtype=column.typecode).view(np.uint8))
 
-    def _continues_rows(self, src: np.ndarray, dst: np.ndarray) -> bool:
-        """Whether the links follow the rows in strict (src, dst) order, and
-        ids and link count stay within int32."""
+    def _row_steps(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
+        """The steps between the links' keys src * 2**32 + dst, where the
+        links follow the rows in strict (src, dst) order and ids and link
+        count stay within int32; else None."""
         if (self.max_id > _MAX_INT32 or len(self.heads) + src.size > _MAX_INT32
                 or (int(src[0]), int(dst[0])) <= self.last):
-            return False
-        src_step, dst_step = np.diff(src), np.diff(dst)
-        return bool(np.all((src_step > 0) | ((src_step == 0) & (dst_step > 0))))
+            return None
+        key = src << 32
+        key |= dst
+        steps = np.diff(key)
+        return steps if not steps.size or steps.min() > 0 else None
 
     def _row_columns(self):
         """The rows kept so far as (src, dst) columns; the rows are let go."""

@@ -27,15 +27,30 @@ class TwoDRankOrder:
 
 
 def two_d_rank(r: TwoDRanking) -> TwoDRankOrder:
-    """Combined square-border ordering of a paired ranking."""
+    """Combined square-border ordering of a paired ranking.
+
+    The nodes on the border max(K, K*) = m are the node at PageRank rank
+    m, where its K* is at most m, and the node at CheiRank rank m, where
+    its K is below m: at most two, taken in the order of their other
+    rank, then of their id.  So the order follows from the two rank
+    orders in O(N), with no sort."""
     n = r.node_count
-    k, kstar = r.K, r.Kstar
-    # max and min both lie in 1..n, so this key orders by max, then min;
-    # a stable sort leaves remaining ties in ascending id
-    key = np.maximum(k, kstar) * (n + 1) + np.minimum(k, kstar)
-    order = np.argsort(key, kind="stable") + 1
+    m = np.arange(1, n + 1)
+    a, b = r.pagerank.order, r.cheirank.order  # the nodes at rank m
+    a_other, b_other = r.Kstar.take(a - 1), r.K.take(b - 1)
+    b_first = (b_other < a_other) | ((b_other == a_other) & (b < a))
+    a_kept, b_kept = a_other <= m, b_other < m
+    del a_other, b_other
+    pair, kept = np.stack([a, b], axis=1), np.stack([a_kept, b_kept], axis=1)
+    # where b leads, it goes first (in place: no whole-length temporaries)
+    np.copyto(pair[:, 0], b, where=b_first)
+    np.copyto(pair[:, 1], a, where=b_first)
+    np.copyto(kept[:, 0], b_kept, where=b_first)
+    np.copyto(kept[:, 1], a_kept, where=b_first)
+    order = pair[kept]  # by m, then within m
+    del pair, kept
     index = np.empty(n, dtype=np.int64)
-    index[order - 1] = np.arange(1, n + 1)
+    index[order - 1] = m
     return TwoDRankOrder(order, index)
 
 

@@ -332,6 +332,69 @@ def test_load_rows_reads_integers_as_int_does_or_declines(pairs):
         _assert_bit_equal(bulk, loop)
 
 
+@st.composite
+def shaped_float_tokens(draw):
+    """Float tokens of the shapes the parse reads differently: a point
+    right after one digit or after several or none, no point, exponents
+    of 1 to 3 digits with and without a sign, leading zeros, mantissas
+    of over 19 digits, and the ``repr`` of doubles of any magnitude."""
+    whole = draw(st.sampled_from(["", "0", "7", "42", "007", "12345678901234567890123"]))
+    point = draw(st.sampled_from(["", ".", ".5", ".25", ".000123", ".1234567890123456",
+                                  ".12345678901234567890123"]))
+    if not whole and point in ("", "."):
+        whole = "3"
+    exponent = draw(st.sampled_from(["", "e-05", "E+16", "e5", "e-5", "e+123", "e-300", "E07"]))
+    sign = draw(st.sampled_from(["", "", "-", "+"]))
+    doubles = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    return draw(st.one_of(st.just(sign + whole + point + exponent), doubles))
+
+
+@st.composite
+def laid_out_blocks(draw):
+    """Rows of _MIXED as bytes: tokens parted by one-byte or longer gaps,
+    lines with blanks before and after them, blank lines, and line ends
+    of newline, CRLF and a lone CR."""
+    one_byte = draw(st.booleans())
+    gaps = st.sampled_from([" ", "\t"] if one_byte else [" ", "\t", "  ", " \t", "\t\t "])
+    ends = st.sampled_from(draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"],
+                                                 ["\n", "\r\n", "\r"]])))
+    text = ""
+    for _ in range(draw(st.integers(1, 40))):
+        tokens = [draw(_INT_TOKENS), draw(shaped_float_tokens()), draw(_INT_TOKENS),
+                  draw(shaped_float_tokens())]
+        lead = "" if one_byte else draw(st.sampled_from(["", " ", "\t"]))
+        trail = "" if one_byte else draw(st.sampled_from(["", " ", "\t "]))
+        text += lead + "".join(t + draw(gaps) for t in tokens[:-1]) + tokens[-1] + trail
+        text += draw(ends)
+        if not one_byte and draw(st.integers(0, 4)) == 0:
+            text += draw(st.sampled_from(["", " ", "\t"])) + draw(ends)  # a blank line
+    return text.encode()
+
+
+def _rows_read_in_blocks(data: bytes, read_bytes: int):
+    """The rows of ``data`` as the readers take them: bulk parses of its
+    blocks, ``read_bytes`` read at a time, and the line loop from the first
+    declined block on."""
+    parts = []
+    with mock.patch.object(_bulk, "_READ_BYTES", read_bytes):
+        _, rest, _ = _bulk.read_blocks(io.BytesIO(data), lambda line: not line,
+                                       lambda block, start: _bulk.load_rows(block, start, _MIXED),
+                                       parts.append, _bulk.decode_file)
+    return np.concatenate([*parts, _loop_rows(rest, _MIXED)])
+
+
+@given(laid_out_blocks(), st.one_of(st.integers(1, 64), st.just(_READ_BYTES)))
+def test_blocks_of_every_layout_read_as_the_line_loop_reads(data, read_bytes):
+    loop = _loop_rows(_bulk.decode_file([data]), _MIXED)
+    _assert_bit_equal(_rows_read_in_blocks(data, read_bytes), loop)
+
+
+@given(st.lists(shaped_float_tokens(), min_size=1, max_size=30), st.booleans())
+def test_load_rows_reads_every_float_shape_as_float_does(tokens, crlf):
+    text = "".join(token + ("\r\n" if crlf else "\n") for token in tokens)
+    _assert_bit_equal(_bulk_rows(text, _FLOATS), _loop_rows(text, _FLOATS))
+
+
 @pytest.mark.parametrize("text", [
     "1 2\n3 4\n",
     "1\t2\n3\t\t4\n",
@@ -341,13 +404,14 @@ def test_load_rows_reads_integers_as_int_does_or_declines(pairs):
     "\n\n1 2\n\n \t \n3 4\n\n",
     "1 2\n3 4",
     " \n\t\n",
+    "1 2\r\n3 4\r\n",
 ])
 def test_load_rows_reads_blank_layouts_in_bulk(text):
     _assert_bit_equal(_bulk_rows(text, _INTS), _loop_rows(text, _INTS))
 
 
 @pytest.mark.parametrize("text", [
-    "1 2\r\n3 4\r\n", "1 2\r3 4\n", "1 2\x0c\n", "1\x0b2\n", "1 2\n# c\n", "1 2 3\n",
+    "1 2\r3 4\n", "1 2\x0c\n", "1\x0b2\n", "1 2\n# c\n", "1 2 3\n",
     "1 2\n3\n", "1 2\n3 4 5\n", "", "١ 2\n",
 ])
 def test_load_rows_declines_what_the_line_loop_must_decide(text):

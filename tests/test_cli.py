@@ -319,6 +319,18 @@ def test_twodrank_bad_subset_is_line_numbered_error(cycle_file, tmp_path, capsys
     assert message in capsys.readouterr().err
 
 
+def test_twodrank_subset_names_a_byte_order_mark(cycle_file, tmp_path, capsys):
+    ranks = tmp_path / "r"
+    subset = tmp_path / "subset.txt"
+    subset.write_bytes(b"\xef\xbb\xbf1\n2\n")
+    assert run("rank", cycle_file, "--out", ranks) == 0
+    assert run("twodrank", ranks / "ranks.tsv", "--subset", subset,
+               "--out", tmp_path / "t") == 1
+    assert capsys.readouterr().err == (
+        "error: subset line 1: starts with a UTF-8 byte-order mark (U+FEFF); "
+        "save the text without it\n")
+
+
 @pytest.mark.parametrize("data, message", [
     (b"1\n2\n\xff3\n", "subset line 3: invalid UTF-8, byte 0xff (invalid start byte)"),
     (b"1\r\n2\r\xff3\n", "subset line 3: invalid UTF-8, byte 0xff (invalid start byte)"),
@@ -356,7 +368,7 @@ def _subset_outcome(path, node_count: int):
     (_subset_lines({61: b"+5"}), [*range(1, 60), 5, *range(61, 101)], "some"),
     (_subset_lines({71: b"101"}), "subset line 71: node id 101 outside [1, 100]", "some"),
     (_subset_lines({71: b"0"}), "subset line 71: node id 0 outside [1, 100]", "some"),
-    (_subset_lines({}, b"\r\n"), list(range(1, 101)), "none"),
+    (_subset_lines({}, b"\r\n"), list(range(1, 101)), "all"),
     (_subset_lines({81: b"\xff80"}), "subset line 81: invalid UTF-8, byte 0xff (invalid start byte)",
      None),
 ], ids=["plain", "plus", "above", "zero", "crlf", "not-utf8"])

@@ -467,7 +467,7 @@ def test_bulk_weighted_parse_matches_line_loop(lines, weights, fmt, weighted,
     ("9223372036854775807 1\n", True),
     ("+5 1\n", False),
     ("1_0 2\n", False),
-    ("1 2\r\n2 3\r\n", False),
+    ("1 2\r\n2 3\r\n", True),
     ("1 2\r3 4\n", False),
     ("1 2\x0c\n", False),
     ("1 2\n# late comment\n2 3\n", False),
@@ -589,6 +589,16 @@ def test_read_edge_list_lone_carriage_return_ends_a_line(tmp_path):
     assert read_edge_list(path) == parse_edge_list("1 2\n2 3\n")
     # a str is read as it is: the comment runs to the newline
     assert parse_edge_list("# c\r1 2\n2 3\n") == parse_edge_list("N 3\n2 3\n")
+
+
+def test_read_edge_list_names_a_byte_order_mark(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(b"\xef\xbb\xbf1 2\n2 3\n")
+    message = r"^line 1: starts with a UTF-8 byte-order mark \(U\+FEFF\)"
+    with pytest.raises(ValueError, match=message):
+        read_edge_list(path)
+    with pytest.raises(ValueError, match=message):
+        parse_edge_list("\ufeff# edges\n1 2\n")
 
 
 def test_read_edge_list_invalid_utf8_message(tmp_path):

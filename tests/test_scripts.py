@@ -46,5 +46,6 @@ def test_float_repr_sweep_finds_no_mismatch():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    # four sets written against repr, three parsed against float
-    assert len(lines) == 7 and all(line.endswith(", 0 mismatches") for line in lines), lines
+    # four sets written against repr, three parsed against float, and
+    # rank-table rows parsed against int and float
+    assert len(lines) == 8 and all(line.endswith(", 0 mismatches") for line in lines), lines

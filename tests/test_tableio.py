@@ -248,6 +248,17 @@ def test_read_path_in_small_blocks_reads_as_text_mode(tmp_path, name, read_bytes
         test_read_path_reads_as_text_mode(tmp_path, name)
 
 
+def test_read_names_a_byte_order_mark(tmp_path):
+    path = tmp_path / "ranks.tsv"
+    table = serialize_rank_table(TwoDRanking.compute(bernoulli_graph(1, n=5)))
+    path.write_bytes(b"\xef\xbb\xbf" + table.encode())
+    message = r"^line 1: starts with a UTF-8 byte-order mark \(U\+FEFF\)"
+    with pytest.raises(ValueError, match=message):
+        read_rank_table(path)
+    with pytest.raises(ValueError, match=message):
+        read_rank_table(io.StringIO(path.read_text(encoding="utf-8")))
+
+
 def test_read_invalid_utf8_message(tmp_path):
     path = tmp_path / "ranks.tsv"
     path.write_bytes(_table_bytes_cases()["invalid utf-8 in header"])

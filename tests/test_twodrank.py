@@ -131,3 +131,34 @@ def test_two_d_rank_matches_lexsort_reference(indexes):
     combined = two_d_rank(r)
     assert np.array_equal(combined.order, order)
     assert np.array_equal(combined.index[order - 1], ids)
+
+
+@st.composite
+def mirrored_indexes(draw):
+    """K and K* permutations of 1..n where drawn pairs of nodes sit at
+    (j, m) and (m, j): on one border with the same smaller rank, so that
+    only their ids order them.  The other nodes are random or on the
+    diagonal."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.permutations(range(1, n + 1)))
+    kstar = list(k)
+    nodes = draw(st.permutations(range(n)))
+    pairs = draw(st.integers(0, n // 2))
+    for a, b in zip(nodes[:pairs], nodes[pairs:2 * pairs]):
+        kstar[a], kstar[b] = k[b], k[a]
+    rest = nodes[2 * pairs:]
+    shuffled = draw(st.permutations([kstar[i] for i in rest]))
+    for i, value in zip(rest, shuffled):
+        kstar[i] = value
+    return k, kstar
+
+
+@given(st.one_of(paired_indexes(), mirrored_indexes()))
+def test_two_d_rank_matches_the_argsort_key(indexes):
+    r = ranking_from_indexes(*indexes)
+    n = r.node_count
+    key = np.maximum(r.K, r.Kstar) * (n + 1) + np.minimum(r.K, r.Kstar)
+    order = np.argsort(key, kind="stable") + 1
+    combined = two_d_rank(r)
+    assert np.array_equal(combined.order, order)
+    assert np.array_equal(combined.index[order - 1], np.arange(1, n + 1))
