@@ -6,8 +6,9 @@ This module is their fast path, on bytes: :func:`read_blocks` takes a
 file block by block, sets aside its header and comment lines, and has a
 bulk parse such as :func:`load_rows` read each block after them.  A
 parse declines (returns None) any block it could read differently from
-the line loop, which then parses the decoded text from there on (see
-:func:`split_lines`); only then is the text decoded.
+the line loop, which then reads that block's decoded text alone, and the
+next block goes back to the bulk parse.  Only the blocks the line loop
+reads are decoded.
 
 :func:`load_rows` parses rows of int64 and float64 fields in numpy,
 each value bit-identical to ``int`` or ``float`` of its token.  Token
@@ -335,59 +336,53 @@ def _blocks(fp):
         yield b"".join(pending)
 
 
-def read_blocks(fp, is_head, load, add, decode) -> tuple[str, str, int]:
-    """``(head, rest, first_line)`` of the binary stream ``fp``, read once
-    in blocks.  ``head`` is the text of the leading block of lines that
-    pass ``is_head`` (see :func:`leading_block_end`).  ``load(block,
-    start)`` parses each body block from offset ``start``, and ``add``
-    takes each parse, until ``load`` declines (returns None).  ``rest``
-    is the text from there on, from 1-based line ``first_line``, both
-    made by ``decode(parts, first_line)`` from a list of byte strings,
-    which it empties.  The caller's line loop reads ``head``,
-    then ``rest`` (see :func:`split_lines`): every outcome and error is
-    the line loop's, but for a UTF-8 byte-order mark before the first
-    line, a ValueError that names it.  Decoded text keeps the mark, and
-    no line loop reads it as a number or a '#'."""
+def read_blocks(fp, is_head, load, parse, decode):
+    """The parses of the binary stream ``fp``, read once in blocks.  First
+    ``parse(text, 1)`` of the leading block of lines that pass ``is_head``
+    (see :func:`leading_block_end`); then, for each block of the body,
+    ``load(block)``, its bulk parse, or, where that declines (returns
+    None), ``parse(text, line)`` of that block alone, from its 1-based
+    first line; the next block goes back to ``load``.  ``text`` is
+    ``decode(data, line)`` of the block's bytes, so only the blocks a
+    line loop reads are decoded.
+
+    Every outcome and error is the line loop's, but for a UTF-8 byte-order
+    mark before the first line, a ValueError that names it.  Decoded text
+    keeps the mark, and no line loop reads it as a number or a '#'.  Text
+    mode decodes a whole file before it reads a line, so where ``parse``
+    raises ValueError the later blocks are decoded, and the first byte
+    that is not UTF-8 among them raises instead."""
     blocks = _blocks(fp)
     first = next(blocks, b"")
     if first.startswith(b"\xef\xbb\xbf"):
         raise ValueError("line 1: starts with a UTF-8 byte-order mark (U+FEFF); "
                          "save the text without it")
-    head = bytearray()
+    head, body = bytearray(), iter(())
     for block in chain([first], blocks):
         start = leading_block_end(block, is_head)
         head += block[:start]
         if start < len(block):
+            body = chain([block[start:]], blocks)
             break
-    else:
-        block, start = b"", 0  # no body
-    lines = head.count(b"\n") + 1  # the line at ``start``
-    for block in chain([block], blocks):
-        parsed = load(block, start)
+    del first, block
+    line = 1  # the first line of ``data``
+    for data in chain([head], body):
+        parsed = None if data is head else load(data)
         if parsed is None:
-            rest = [block[start:], *blocks]
-            del block
-            return decode([head], 1), decode(rest, lines), lines
-        add(parsed)
-        # numpy counts bytes several times faster than bytes.count
-        lines += np.count_nonzero(np.frombuffer(block, dtype=np.uint8, offset=start) == ord("\n"))
-        start = 0
-    return decode([head], 1), "", lines
-
-
-def split_lines(text: str):
-    """The lines of ``text`` without their newlines, as ``text.split("\n")``
-    gives them but for an empty last one, split about ``_READ_BYTES``
-    characters at a time: what a line loop reads ``text`` by, holding no
-    more than those lines beside it."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _READ_BYTES) + 1 or len(text)
-        lines = text[start:end].split("\n")
-        if text[end - 1] == "\n":
-            lines.pop()
-        yield from lines
-        start = end
+            text = decode(data, line)
+            try:
+                parsed = parse(text, line)
+            except ValueError:
+                for data in body:
+                    line += text.count("\n")
+                    text = decode(data, line)
+                raise
+            # universal newlines count a lone carriage return as a line end
+            line += text.count("\n")
+        else:
+            # numpy counts bytes several times faster than bytes.count
+            line += np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+        yield parsed
 
 
 def leading_block_end(data: bytes, is_head) -> int:
@@ -801,25 +796,19 @@ def encode_text(text: str) -> bytes:
     return text.encode("utf-8", "surrogatepass")
 
 
-def decode_text(parts: list, first_line: int = 1) -> str:
-    """Inverse of :func:`encode_text` on the bytes of ``parts`` joined: the
-    text exactly as handed over, carriage returns included.  As in
-    :func:`decode_file`, ``parts`` is emptied; ``first_line`` is unused."""
-    data = b"".join(parts)
-    parts.clear()
+def decode_text(data, first_line: int = 1) -> str:
+    """Inverse of :func:`encode_text` on the bytes-like ``data``: the text
+    exactly as handed over, carriage returns included.  ``first_line``,
+    which :func:`decode_file` names lines from, is unused."""
     return data.decode("utf-8", "surrogatepass")
 
 
-def decode_file(parts: list, first_line: int = 1) -> str:
-    """The bytes of ``parts`` joined, a file's, as ``open(path,
-    encoding="utf-8").read()`` returns them: strict UTF-8 with universal
-    newlines.  Bytes that are not UTF-8 raise ValueError naming the
-    1-based line of the first bad byte, as universal newlines count
-    lines, the bytes starting at line ``first_line``.  ``parts`` is
-    emptied, and the joined bytes let go before the newlines are
-    translated, so that no more than two copies of the text are held."""
-    data = b"".join(parts)
-    parts.clear()
+def decode_file(data, first_line: int = 1) -> str:
+    """The bytes-like ``data``, a file's from its 1-based line
+    ``first_line`` on, as ``open(path, encoding="utf-8").read()`` returns
+    them: strict UTF-8 with universal newlines.  Bytes that are not UTF-8
+    raise ValueError naming the line of the first bad byte, as universal
+    newlines count lines."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -827,6 +816,4 @@ def decode_file(parts: list, first_line: int = 1) -> str:
         lineno = first_line + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
         raise ValueError(f"line {lineno}: invalid UTF-8, byte 0x{data[exc.start]:02x} "
                          f"({exc.reason})") from None
-    del data
-    text = text.replace("\r\n", "\n")
-    return text.replace("\r", "\n")
+    return text.replace("\r\n", "\n").replace("\r", "\n")

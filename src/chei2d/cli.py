@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._bulk import decode_file, load_rows, read_blocks, split_lines, write_rows
+from ._bulk import decode_file, load_rows, read_blocks, write_rows
 from .flow import compute_flow, fixed_point_cell
 from .graph import read_edge_list, synth_scale_free, write_edge_list
 from .ranking import (
@@ -267,12 +267,12 @@ def _read_subset(path, node_count: int) -> np.ndarray:
     """Node ids of a subset file, one per line; ``#`` comments and blank
     lines are skipped.  Each id must lie in [1, node_count].  The file is
     read in blocks as the edge-list and rank-table readers read theirs:
-    a block of plain ids in range is parsed in bulk, and the line loop
-    below, the only source of the rules and messages, reads the rest."""
-    parts = []
+    a block of plain ids in range is parsed in bulk, and
+    :func:`_parse_subset`, the only source of the rules and messages,
+    reads the others."""
 
-    def load(block, start):
-        rows = load_rows(block, start, _SUBSET_ROW)
+    def load(block):
+        rows = load_rows(block, 0, _SUBSET_ROW)
         ids = None if rows is None else rows["node"]
         if ids is not None and ids.size and (ids.min() < 1 or ids.max() > node_count):
             return None  # for the line loop to name the line
@@ -280,27 +280,30 @@ def _read_subset(path, node_count: int) -> np.ndarray:
 
     try:
         with open(path, "rb") as fp:
-            _, rest, first_line = read_blocks(
-                fp, lambda line: not line or line.startswith(b"#"), load, parts.append, decode_file)
-    except ValueError as exc:  # bytes that are not UTF-8
+            return np.concatenate(list(read_blocks(
+                fp, lambda line: not line or line.startswith(b"#"), load,
+                lambda text, first_line: _parse_subset(text, first_line, node_count),
+                decode_file)))
+    except ValueError as exc:
         raise ValueError(f"subset {exc}") from None
+
+
+def _parse_subset(text: str, first_line: int, node_count: int) -> np.ndarray:
+    """The line loop of :func:`_read_subset`: the ids of the lines of
+    ``text`` numbered from ``first_line``."""
     ids = array("q")
-    for lineno, raw in enumerate(split_lines(rest), first_line):
+    for lineno, raw in enumerate(text.split("\n"), first_line):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             node = int(line)
         except ValueError:
-            raise ValueError(
-                f"subset line {lineno}: node id must be an integer, got {line!r}"
-            ) from None
+            raise ValueError(f"line {lineno}: node id must be an integer, got {line!r}") from None
         if not 1 <= node <= node_count:
-            raise ValueError(
-                f"subset line {lineno}: node id {node} outside [1, {node_count}]"
-            )
+            raise ValueError(f"line {lineno}: node id {node} outside [1, {node_count}]")
         ids.append(node)
-    return np.concatenate([*parts, np.frombuffer(ids, dtype=np.int64)])
+    return np.frombuffer(ids, dtype=np.int64)
 
 
 def cmd_twodrank(args):

@@ -29,7 +29,6 @@ from ._bulk import (
     encode_text,
     load_rows,
     read_blocks,
-    split_lines,
     write_rows,
 )
 
@@ -330,11 +329,15 @@ def _read(fp, decode, weighted: bool, drop_self_loops: bool) -> DirectedGraph:
     """The graph of the edge list in the binary stream ``fp``, read by
     :func:`read_blocks` with ``decode``."""
     links = _LinkRows(weighted, drop_self_loops)
-    head, rest, first_line = read_blocks(fp, _is_head_line, _load_links,
-                                         lambda p: links.add(*p), decode)
-    declared, *_ = _parse_lines(split_lines(head))
-    declared, *parsed = _parse_lines(split_lines(rest), first_line, declared)
-    links.add(*parsed)
+    declared = None  # the node count of the 'N' header the line loop read
+
+    def parse(text, first_line):
+        nonlocal declared
+        declared, *parsed = _parse_lines(text, first_line, declared)
+        return parsed
+
+    for parsed in read_blocks(fp, _is_head_line, _load_links, parse, decode):
+        links.add(*parsed)
     if links.max_id == 0 and declared is None:
         raise ValueError("empty edge list and no 'N <count>' header")
     return links.graph(max(links.max_id, declared or 0))
@@ -417,14 +420,14 @@ class _LinkRows:
         return DirectedGraph._assemble(node_count, self.rows, heads, None, 0)
 
 
-def _load_links(data: bytes, start: int = 0):
-    """(src, dst, weight) of an edge-list body, from offset ``start`` of
-    ``data``, read in bulk; or None where the line loop must decide: the
-    bulk parse declined the body, or it holds an id below 1 or a weight
-    that is not finite and positive.  The field count of the body's first
-    non-blank row picks the rows' dtype, so each body is parsed once."""
-    weighted = len(_FIRST_ROW.match(data, start).group(1).split()) == 3
-    rows = load_rows(data, start, _WEIGHTED_LINK_ROW if weighted else _LINK_ROW)
+def _load_links(data: bytes):
+    """(src, dst, weight) of a block of an edge-list body, read in bulk; or
+    None where the line loop must decide: the bulk parse declined the
+    block, or it holds an id below 1 or a weight that is not finite and
+    positive.  The field count of the block's first non-blank row picks
+    the rows' dtype, so each block is parsed once."""
+    weighted = len(_FIRST_ROW.match(data).group(1).split()) == 3
+    rows = load_rows(data, 0, _WEIGHTED_LINK_ROW if weighted else _LINK_ROW)
     if rows is None:
         return None
     if weighted and not np.all(np.isfinite(rows["weight"]) & (rows["weight"] > 0)):
@@ -440,12 +443,12 @@ def _is_head_line(line: bytes) -> bool:
     return not line or line.startswith(b"#") or line.split()[0] == b"N"
 
 
-def _parse_lines(lines, first_line: int = 1, declared: int | None = None):
-    """The line loop: (declared count or None, src, dst, weight) of
-    ``lines`` numbered from ``first_line``, after lines that declared
-    ``declared``."""
+def _parse_lines(text: str, first_line: int, declared: int | None):
+    """The line loop: (declared count or None, src, dst, weight) of the
+    lines of ``text`` numbered from ``first_line``, after lines that
+    declared ``declared``."""
     srcs, dsts, ws = array("q"), array("q"), array("d")
-    for lineno, raw in enumerate(lines, first_line):
+    for lineno, raw in enumerate(text.split("\n"), first_line):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

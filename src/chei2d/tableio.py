@@ -20,7 +20,6 @@ from ._bulk import (
     encode_text,
     load_rows,
     read_blocks,
-    split_lines,
     write_rows,
 )
 from .ranking import RankVector, TwoDRanking
@@ -107,15 +106,11 @@ def read_rank_table(source) -> tuple[TwoDRanking, dict]:
 
 def _read(fp, decode) -> tuple[TwoDRanking, dict]:
     """The table in the binary stream ``fp``, read by :func:`read_blocks` with ``decode``."""
-    parts = []
-    head, rest, first_line = read_blocks(
+    header = {}
+    rows = np.concatenate(list(read_blocks(
         fp, lambda line: not line or line.startswith(b"#"),
-        lambda block, start: load_rows(block, start, _ROW),
-        parts.append, decode)
-    header, _ = _parse_lines(split_lines(head), 1, {})
-    header, tail = _parse_lines(split_lines(rest), first_line, header)
-    rows = np.concatenate([*parts, tail])
-    del parts, tail
+        lambda block: load_rows(block, 0, _ROW),
+        lambda text, first_line: _parse_lines(text, first_line, header), decode)))
     n, node = rows.size, rows["node"]
     if not n:
         raise ValueError("rank table holds no data rows")
@@ -161,12 +156,12 @@ def _rank_permutation(prob: np.ndarray, index: np.ndarray, column: str) -> np.nd
     raise ValueError(f"rank table {column} column is not the rank order of its probabilities")
 
 
-def _parse_lines(lines, first_line: int, header: dict):
-    """The line loop: ``header`` plus the header parameters of ``lines``
-    numbered from ``first_line``, each as ``(line, value)``, and their rows
-    in file order."""
+def _parse_lines(text: str, first_line: int, header: dict) -> np.ndarray:
+    """The line loop: the rows of the lines of ``text`` numbered from
+    ``first_line``, in file order.  Their header parameters go into
+    ``header``, each as ``(line, value)``."""
     rows = bytearray()
-    for lineno, raw in enumerate(lines, first_line):
+    for lineno, raw in enumerate(text.split("\n"), first_line):
         line = raw.strip()
         if not line:
             continue
@@ -188,4 +183,4 @@ def _parse_lines(lines, first_line: int, header: dict):
             rows += _RECORD.pack(int(node), float(p), int(k), float(pstar), int(kstar))
         except (ValueError, struct.error):
             raise ValueError(f"rank table line {lineno}: malformed values") from None
-    return header, np.frombuffer(rows, dtype=_ROW)
+    return np.frombuffer(rows, dtype=_ROW)

@@ -193,14 +193,6 @@ def test_benchmark_size_rank_columns_take_no_fallback():
         assert texts == list(map(repr, column.tolist()))
 
 
-@pytest.mark.parametrize("text", ["", "\n", "a", "a\n", "\n\n", "a\nb", "ab\r\ncd\re\n",
-                                  "xy\n" * 9 + "tail", "x\n" * 9])
-def test_split_lines_gives_the_lines_a_text_stream_gives(text):
-    with mock.patch.object(_bulk, "_READ_BYTES", 3):  # several slices of lines
-        lines = list(_bulk.split_lines(text))
-    assert lines == [line.removesuffix("\n") for line in io.StringIO(text)]
-
-
 @pytest.mark.parametrize("sep", ["", "  ", "é"])
 def test_write_rows_rejects_a_bad_sep_before_writing(sep):
     buf = io.StringIO()
@@ -373,19 +365,18 @@ def laid_out_blocks(draw):
 
 def _rows_read_in_blocks(data: bytes, read_bytes: int):
     """The rows of ``data`` as the readers take them: bulk parses of its
-    blocks, ``read_bytes`` read at a time, and the line loop from the first
-    declined block on."""
-    parts = []
+    blocks, ``read_bytes`` read at a time, and the line loop for each block
+    the bulk parse declines."""
     with mock.patch.object(_bulk, "_READ_BYTES", read_bytes):
-        _, rest, _ = _bulk.read_blocks(io.BytesIO(data), lambda line: not line,
-                                       lambda block, start: _bulk.load_rows(block, start, _MIXED),
-                                       parts.append, _bulk.decode_file)
-    return np.concatenate([*parts, _loop_rows(rest, _MIXED)])
+        return np.concatenate(list(_bulk.read_blocks(
+            io.BytesIO(data), lambda line: not line,
+            lambda block: _bulk.load_rows(block, 0, _MIXED),
+            lambda text, first_line: _loop_rows(text, _MIXED), _bulk.decode_file)))
 
 
 @given(laid_out_blocks(), st.one_of(st.integers(1, 64), st.just(_READ_BYTES)))
 def test_blocks_of_every_layout_read_as_the_line_loop_reads(data, read_bytes):
-    loop = _loop_rows(_bulk.decode_file([data]), _MIXED)
+    loop = _loop_rows(_bulk.decode_file(data), _MIXED)
     _assert_bit_equal(_rows_read_in_blocks(data, read_bytes), loop)
 
 

@@ -374,24 +374,27 @@ def _subset_outcome(path, node_count: int):
 ], ids=["plain", "plus", "above", "zero", "crlf", "not-utf8"])
 def test_subset_read_in_blocks_matches_the_line_loop(tmp_path, data, outcome, in_bulk):
     """Blocks of plain ids in range are read in bulk ("all" of them, or
-    "some" before the first block that is not), and the line loop reads
-    the rest: the same ids or error either way."""
+    "some"), and the line loop reads the others: the same ids or error
+    either way."""
     path = tmp_path / "subset.txt"
     path.write_bytes(data)
-    looped = []  # the text each read left to its line loop
+    looped = []  # per read, the texts handed to its line loop: the head's, then the body's
+    parse = chei2d.cli._parse_subset
 
-    def spy(text):
-        looped.append(text)
-        return _bulk.split_lines(text)
+    def spy(text, *args):
+        looped[-1].append(text)
+        return parse(text, *args)
 
     with mock.patch.object(_bulk, "_READ_BYTES", 64), \
-            mock.patch.object(chei2d.cli, "split_lines", spy):
+            mock.patch.object(chei2d.cli, "_parse_subset", spy):
+        looped.append([])
         bulk = _subset_outcome(path, 100)
+        looped.append([])
         with mock.patch.object(chei2d.cli, "load_rows", lambda *args: None):
             loop = _subset_outcome(path, 100)
     assert bulk == loop == outcome
-    if in_bulk is not None:  # the bulk read's rest against the whole text
-        rest, whole = map(len, looped)
+    if in_bulk is not None:  # the bulk read's line-looped body against the loop read's
+        rest, whole = (len("".join(texts[1:])) for texts in looped)
         assert {"all": rest == 0, "some": 0 < rest < whole, "none": rest == whole}[in_bulk]
 
 

@@ -489,10 +489,11 @@ def test_bulk_weighted_parse_matches_line_loop(lines, weights, fmt, weighted,
     ("1 2 3 4\n", False),
     ("1 2\nnot numbers\n", False),
     ("N5\n1 2\n", False),
-    ("N 99999999999999999999\n1 2\n", True),
-    ("N 0\n1 2\n", True),
-    ("N x\n1 2\n", True),
-    ("N 2\nN 3\n1 2\n", True),
+    # a bad header raises before any block of the body is parsed
+    ("N 99999999999999999999\n1 2\n", False),
+    ("N 0\n1 2\n", False),
+    ("N x\n1 2\n", False),
+    ("N 2\nN 3\n1 2\n", False),
     ("N 3\n", False),
     ("# only a comment\n", False),
     ("", False),
@@ -800,6 +801,19 @@ def test_read_in_blocks_names_the_line_of_invalid_utf8(tmp_path, edits, first_ba
             read_edge_list(path)
 
 
+@pytest.mark.parametrize("read_bytes", [16, 1 << 18])
+def test_a_bad_header_yields_to_a_later_byte_that_is_not_utf8(tmp_path, read_bytes):
+    """Text mode decodes the whole file before its header is read, so the
+    bad byte is named, not the header before it, though the byte lies in
+    the body's first block (at the default read size) or far past it."""
+    path = tmp_path / "edges.txt"
+    path.write_bytes(b"N x\n" + b"1 2\n" * 19_999 + b"2 \xff3\n")
+    assert first_undecodable_line(path) == 20_001
+    with mock.patch.object(_bulk, "_READ_BYTES", read_bytes):
+        with pytest.raises(ValueError, match="^line 20001: invalid UTF-8"):
+            read_edge_list(path)
+
+
 @pytest.mark.parametrize("read_bytes", [1, 16, 1 << 18])
 def test_read_in_blocks_is_read_as_text_mode(tmp_path, read_bytes):
     lines = _sorted_body()
@@ -821,6 +835,29 @@ def test_sorted_read_builds_the_layout_of_from_links(tmp_path):
     assert back.heads.dtype == g.heads.dtype and back.indptr.dtype == g.indptr.dtype
     assert not back.heads.flags.writeable and not back.indptr.flags.writeable
     assert back.weight.strides == (0,)
+
+
+def test_blocks_after_a_declined_block_are_parsed_in_bulk_again(tmp_path):
+    g = synth_scale_free(2_000, 2.1, 2.7, 3, links=20_000)
+    path = tmp_path / "edges.txt"
+    write_edge_list(g, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    middle = len(lines) // 2
+    path.write_bytes(b"".join([*lines[:middle], b"# c\n", *lines[middle:]]))
+    parses = []
+
+    def spy(data, start, dtype):
+        parses.append(load_rows(data, start, dtype))
+        return parses[-1]
+
+    with mock.patch.object(_bulk, "_READ_BYTES", 4096), \
+            mock.patch.object(graph_module, "load_rows", spy):
+        back = read_edge_list(path)
+    assert back == g
+    declined = [rows is None for rows in parses]
+    assert declined.count(True) == 1  # the block with the comment alone
+    at = declined.index(True)
+    assert at > 10 and len(declined) - at > 10
 
 
 def test_each_block_of_a_weighted_file_is_parsed_once(tmp_path):

@@ -198,6 +198,21 @@ def test_read_edge_list_holds_the_heads_and_one_block(solved, tmp_path):
     assert peak <= 4.25 * g.link_count + 20 * g.node_count + 8 * _READ_BYTES + _SLACK
 
 
+def test_read_of_edge_list_with_a_late_comment_holds_one_block_more(solved, tmp_path):
+    g, _ = solved
+    path = tmp_path / "edges.txt"
+    write_edge_list(g, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    middle = len(lines) // 2
+    path.write_bytes(b"".join([*lines[:middle], b"# c\n", *lines[middle:]]))
+    # The sorted read's bound and the line loop's output for the one block
+    # the bulk parse declines: three 8 B columns for lines of 4 B or more.
+    # Read by the line loop from the comment on, it peaked at 31.4 B/link.
+    peak = _peak(lambda: read_edge_list(path))
+    assert peak <= (4.25 * g.link_count + 20 * g.node_count + 8 * _READ_BYTES + _SLACK
+                    + 6 * _READ_BYTES)
+
+
 def test_read_rank_table_holds_its_rows_twice_and_one_block(solved, tmp_path):
     g, r = solved
     path = tmp_path / "ranks.tsv"
@@ -209,15 +224,28 @@ def test_read_rank_table_holds_its_rows_twice_and_one_block(solved, tmp_path):
     assert peak <= 96 * g.node_count + 8 * _READ_BYTES + _SLACK
 
 
+def test_read_of_rank_table_the_bulk_parse_declines_holds_one_block(solved, tmp_path):
+    g, r = solved
+    path = tmp_path / "ranks.tsv"
+    write_rank_table(r, path)
+    # A form feed before each newline: the bulk parse declines every block,
+    # and the line loop reads each alone, within the bulk read's bound.
+    # Read by the line loop from the first block on, it peaked at 149.9 B/row.
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\x0c\n"))
+    peak = _peak(lambda: read_rank_table(path))
+    assert peak <= 96 * g.node_count + 8 * _READ_BYTES + _SLACK
+
+
 def test_read_of_crlf_rank_table_holds_its_text_not_a_stream_of_it(solved, tmp_path):
     g, r = solved
     path = tmp_path / "ranks.tsv"
     write_rank_table(r, path)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    # The line loop reads the whole table: its bytes, their text and the
-    # text with its newlines translated, about 65 B/row each, while the
-    # loop's lines are split a block at a time.  Handed to the loop as an
-    # io.StringIO, whose buffer holds 4 B/char more, it peaked at 363 B/row.
+    # Read in bulk block by block, as a table with plain newlines is, it
+    # peaks at about 80 B/row.  Read whole by the line loop, it held its
+    # bytes, their text and the text with its newlines translated, about
+    # 65 B/row each; handed to the loop as an io.StringIO, whose buffer
+    # holds 4 B/char more, it peaked at 363 B/row.
     peak = _peak(lambda: read_rank_table(path))
     assert peak <= 200 * g.node_count + 8 * _READ_BYTES + _SLACK
 
@@ -227,10 +255,10 @@ def test_read_of_crlf_rank_table_lets_its_bytes_go_before_translating(solved, tm
     path = tmp_path / "ranks.tsv"
     write_rank_table(r, path)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    # Two copies of the text at most: the bytes and their text, then the
-    # text and its newlines translated, about 65 B/row each; then the text
-    # and the line loop's 40 B rows.  Translated while the joined bytes
-    # were still held, it peaked at 195 B/row.
+    # Read in bulk block by block, it peaks at about 80 B/row.  Read whole
+    # by the line loop, it held two copies of the text at most, about 65
+    # B/row each, and the loop's 40 B rows; translated while the joined
+    # bytes were still held, it peaked at 195 B/row.
     peak = _peak(lambda: read_rank_table(path))
     assert peak <= 150 * g.node_count + 8 * _READ_BYTES + _SLACK
 

@@ -248,6 +248,20 @@ def test_read_path_in_small_blocks_reads_as_text_mode(tmp_path, name, read_bytes
         test_read_path_reads_as_text_mode(tmp_path, name)
 
 
+@pytest.mark.parametrize("read_bytes", [16, 1 << 18])
+def test_a_bad_header_value_yields_to_a_later_byte_that_is_not_utf8(tmp_path, read_bytes):
+    """Text mode decodes the whole file before its header is read, so the
+    bad byte in a row is named, not the bad header value before it."""
+    path = tmp_path / "ranks.tsv"
+    data = _table_bytes_cases()["invalid utf-8 in body"]
+    path.write_bytes(re.sub(rb"pagerank_iterations=\d+", b"pagerank_iterations=x", data))
+    line = first_undecodable_line(path)
+    assert line > 11  # past the header
+    with mock.patch.object(_bulk, "_READ_BYTES", read_bytes):
+        with pytest.raises(ValueError, match=f"^line {line}: invalid UTF-8"):
+            read_rank_table(path)
+
+
 def test_read_names_a_byte_order_mark(tmp_path):
     path = tmp_path / "ranks.tsv"
     table = serialize_rank_table(TwoDRanking.compute(bernoulli_graph(1, n=5)))
