@@ -92,6 +92,8 @@ def _write_manifest(out_dir: Path, args, argv, outputs, extra, vectors, started)
     if vectors:
         manifest["iterations"] = {name: v.iterations_used for name, v in vectors.items()}
         manifest["residuals"] = {name: v.residual for name, v in vectors.items()}
+        manifest["residual_history"] = {name: list(v.residual_history)
+                                        for name, v in vectors.items()}
     path = out_dir / "manifest.json"
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(manifest, fp, indent=2, sort_keys=True)

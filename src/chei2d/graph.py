@@ -16,8 +16,9 @@ from __future__ import annotations
 import io
 import math
 import re
+import weakref
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import IO
 
@@ -136,9 +137,19 @@ class DirectedGraph:
     collapsed_duplicates: int
 
     def __post_init__(self):
-        """Freeze the layout; runs once for every graph built."""
+        """Freeze the layout; runs once for every graph built or copied."""
         for arr in (self.indptr, self.heads, self.weight):
             arr.setflags(write=False)
+
+    def __getstate__(self) -> dict:
+        """A copy (``pickle``, ``copy``) takes the fields alone: no
+        cached degrees, and no solves, whose weak references cannot be
+        pickled."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     # -- basic queries -----------------------------------------------------
 
@@ -202,6 +213,14 @@ class DirectedGraph:
         deg = np.bincount(self.heads, minlength=self.node_count)
         deg.setflags(write=False)
         return deg
+
+    @cached_property
+    def _solves(self) -> weakref.WeakValueDictionary:
+        """The rank vectors solved on this graph that are still held
+        elsewhere, by ``(reverse, alpha, tol, max_iter)``.  A graph never
+        changes, so a held solve stays its answer; the references are weak,
+        so that a graph keeps no vector alive."""
+        return weakref.WeakValueDictionary()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedGraph):

@@ -13,6 +13,7 @@ the commands that build no operator, do without its import time.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,9 @@ class RankVector:
     the rank of node ``i``.  Probabilities are non-increasing along
     ``order``.  ``converged`` is False when the iteration stopped at
     ``max_iter`` with the residual still above tolerance.
+    ``residual_history`` holds each iteration's L1 residual, the last one
+    ``residual``; it is empty for a vector not solved here (one read from
+    a rank table).
     """
 
     probabilities: np.ndarray
@@ -79,6 +83,7 @@ class RankVector:
     iterations_used: int = 0
     residual: float = 0.0
     converged: bool = True
+    residual_history: tuple[float, ...] = ()
 
     def __post_init__(self):
         p = np.ascontiguousarray(self.probabilities, dtype=np.float64)
@@ -91,6 +96,7 @@ class RankVector:
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "residual_history", tuple(map(float, self.residual_history)))
 
     @property
     def node_count(self) -> int:
@@ -104,6 +110,7 @@ class RankVector:
         iterations_used: int = 0,
         residual: float = 0.0,
         converged: bool = True,
+        residual_history: tuple[float, ...] = (),
     ) -> "RankVector":
         p = np.asarray(probabilities, dtype=np.float64)
         index = rank_order(p)
@@ -116,6 +123,7 @@ class RankVector:
             iterations_used=iterations_used,
             residual=residual,
             converged=converged,
+            residual_history=residual_history,
         )
 
     def probability_by_rank(self) -> np.ndarray:
@@ -402,26 +410,46 @@ def cheirank(
 
 def _power_iteration(g: DirectedGraph, alpha, tol, max_iter,
                      reverse: bool | np.ndarray) -> RankVector:
-    """The stationary vector of ``StochasticOperator(g, alpha, reverse=reverse)``."""
+    """The stationary vector of ``StochasticOperator(g, alpha, reverse=reverse)``.
+
+    A solve in a bool direction is looked up in the graph's memo of held
+    solves (``DirectedGraph._solves``) and returned as it is while it is
+    held anywhere; a rank vector is immutable, so callers may share it.
+    A mask is solved every time."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if not tol > 0.0:  # NaN included
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    alpha, tol, max_iter = float(alpha), float(tol), operator.index(max_iter)
+    key = None
+    if not np.ndim(reverse):
+        key = (bool(reverse), alpha, tol, max_iter)
+        held = g._solves.get(key)
+        if held is not None:
+            return held
     op = StochasticOperator(g, alpha=alpha, reverse=reverse)
     n = g.node_count
     v = np.full(n, 1.0 / n)
+    history = []
     for iterations in range(1, max_iter + 1):
         nxt = op.apply(v)
-        residual = float(np.abs(nxt - v).sum())
+        # the L1 change, in the buffer of the v it replaces
+        np.subtract(nxt, v, out=v)
+        residual = float(np.abs(v, out=v).sum())
+        history.append(residual)
         v = nxt
         if residual < tol:
             break
-    return RankVector.from_probabilities(
+    del op, nxt  # the operator's values, 8 B/link, before the rank order
+    result = RankVector.from_probabilities(
         v,
         iterations_used=iterations,
         residual=residual,
         converged=residual < tol,
+        residual_history=tuple(history),
     )
-
+    if key is not None:
+        g._solves[key] = result
+    return result

@@ -347,7 +347,9 @@ def matrix_density_render(
     check_render_size(cells, raw_window)
     n = g.node_count
     k = np.asarray(k_index, dtype=np.int64)
-    if k.shape != (n,) or not np.array_equal(np.sort(k), np.arange(1, n + 1)):
+    # n entries in 1..n, each once: O(N), no sort
+    if (k.shape != (n,) or k.min() < 1 or k.max() > n
+            or np.count_nonzero(np.bincount(k)) != n):
         raise ValueError("k_index must be a permutation of 1..node_count")
     raw_window = min(int(raw_window), n)
     block = (k - 1) * cells // n

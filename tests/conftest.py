@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from chei2d import DirectedGraph, parse_edge_list, synth_scale_free
+from chei2d import DirectedGraph, StochasticOperator, parse_edge_list, synth_scale_free
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -48,3 +48,17 @@ def three_cycle() -> DirectedGraph:
 @pytest.fixture
 def chain3() -> DirectedGraph:
     return parse_edge_list(CHAIN)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The ``reverse`` of every operator built while the test runs."""
+    built = []
+    init = StochasticOperator.__init__
+
+    def counted(self, graph, alpha=0.85, *, reverse=False):
+        built.append(reverse)
+        init(self, graph, alpha, reverse=reverse)
+
+    monkeypatch.setattr(StochasticOperator, "__init__", counted)
+    return built

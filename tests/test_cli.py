@@ -44,6 +44,17 @@ def test_rank_three_cycle(cycle_file, tmp_path):
     assert manifest["node_count"] == 3
 
 
+def test_manifest_records_each_residual_history(chain_file, tmp_path):
+    out = tmp_path / "out"
+    assert run("rank", chain_file, "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    history = manifest["residual_history"]
+    assert sorted(history) == ["cheirank", "pagerank"]
+    for name, residuals in history.items():
+        assert len(residuals) == manifest["iterations"][name]
+        assert residuals[-1] == manifest["residuals"][name]
+
+
 def test_rank_chain_matches_oracle(chain_file, tmp_path):
     out = tmp_path / "out"
     assert run("rank", chain_file, "--tol", "1e-12", "--out", out) == 0

@@ -1,3 +1,8 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -310,6 +315,42 @@ def test_non_convergence_is_warning_not_error():
     assert p.residual > 1e-15
 
 
+def _reference_solve(op, tol, max_iter):
+    """The power loop with a new residual array each step: (v, residuals)."""
+    v = np.full(op.node_count, 1 / op.node_count)
+    residuals = []
+    for _ in range(max_iter):
+        nxt = op.apply(v)
+        residuals.append(float(np.abs(nxt - v).sum()))
+        v = nxt
+        if residuals[-1] < tol:
+            break
+    return v, residuals
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("tol, max_iter", [(1e-10, 1000), (1e-15, 3)])
+def test_residual_history_is_the_reference_loop(reverse, tol, max_iter):
+    for seed in range(5):
+        g = bernoulli_graph(seed, n=40)
+        solve = cheirank if reverse else pagerank
+        r = solve(g, tol=tol, max_iter=max_iter)
+        v, residuals = _reference_solve(StochasticOperator(g, reverse=reverse), tol, max_iter)
+        # the loop's own buffers change no bit of the vector or the residuals
+        assert np.array_equal(r.probabilities, v)
+        assert r.residual_history == tuple(residuals)
+        assert len(r.residual_history) == r.iterations_used
+        assert r.residual_history[-1] == r.residual
+        assert r.converged == (r.residual < tol)
+
+
+def test_residual_history_is_a_tuple_of_floats():
+    r = RankVector.from_probabilities([0.5, 0.5], residual_history=np.array([0.25, 0.0]))
+    assert r.residual_history == (0.25, 0.0)
+    assert all(type(x) is float for x in r.residual_history)
+    assert RankVector.from_probabilities([0.5, 0.5]).residual_history == ()
+
+
 def test_residual_decays_geometrically():
     # successive L1 residuals contract by about alpha per step
     for seed in range(10):
@@ -413,3 +454,117 @@ def test_power_iteration_agrees_with_oracle():
         g = bernoulli_graph(seed, n=10 + 4 * seed)
         p = pagerank(g, tol=1e-12)
         assert np.max(np.abs(p.probabilities - dense_solve_oracle(g))) < 1e-8
+
+
+# -- held solves ---------------------------------------------------------------
+
+
+def test_held_solve_is_returned_as_it_is(builds):
+    g = bernoulli_graph(2)
+    p, c = pagerank(g), cheirank(g)
+    assert pagerank(g) is p
+    assert cheirank(g) is c
+    ranking = TwoDRanking.compute(g)
+    assert ranking.pagerank is p and ranking.cheirank is c
+    # equal parameters of other numeric types are the same solve
+    assert pagerank(g, alpha=np.float64(0.85), tol=np.float64(1e-10),
+                    max_iter=np.int64(1000)) is p
+    assert builds == [False, True]
+    assert not p.probabilities.flags.writeable
+
+
+@pytest.mark.parametrize("change", [{"alpha": 0.8}, {"tol": 1e-9}, {"max_iter": 999}])
+def test_any_other_parameter_misses(builds, change):
+    g = bernoulli_graph(2)
+    p, c = pagerank(g), cheirank(g)
+    assert pagerank(g, **change) is not p
+    assert cheirank(g, **change) is not c
+    assert cheirank(g) is not p and pagerank(g) is not c
+    assert builds == [False, True, False, True]
+
+
+def test_mask_solve_is_never_held(builds):
+    g = bernoulli_graph(2)
+    p = pagerank(g)
+    keep_all = np.zeros(g.link_count, dtype=bool)
+    a = ranking._power_iteration(g, 0.85, 1e-10, 1000, reverse=keep_all)
+    b = ranking._power_iteration(g, 0.85, 1e-10, 1000, reverse=keep_all)
+    assert a is not b and a is not p
+    assert np.array_equal(a.probabilities, p.probabilities)
+    assert len(builds) == 3
+    assert list(g._solves.values()) == [p]
+
+
+def test_dropped_solves_leave_the_memo_empty(builds):
+    g = bernoulli_graph(2)
+    p, c = pagerank(g), cheirank(g)
+    assert len(g._solves) == 2
+    del p, c
+    gc.collect()
+    assert len(g._solves) == 0
+    pagerank(g)
+    assert builds == [False, True, False]
+
+
+def test_cheirank_is_pagerank_of_reverse_when_held():
+    g = bernoulli_graph(3)
+    fresh_c, fresh_p = cheirank(g), pagerank(reversed_graph(g))
+    r = reversed_graph(g)
+    held_p = pagerank(r)
+    for a, b in ((cheirank(g), held_p), (fresh_c, pagerank(r)), (cheirank(g), fresh_p)):
+        assert np.array_equal(a.probabilities, b.probabilities)
+        assert np.array_equal(a.index, b.index)
+        assert a.residual_history == b.residual_history
+
+
+@pytest.mark.parametrize("copy_graph", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_solved_graph_copies_equal_and_hold_no_solves(builds, copy_graph):
+    g = bernoulli_graph(4)
+    ranking = TwoDRanking.compute(g)
+    h = copy_graph(g)
+    assert h == g
+    assert h.collapsed_duplicates == g.collapsed_duplicates
+    assert not any(a.flags.writeable for a in (h.indptr, h.heads, h.weight))
+    assert np.array_equal(h.out_degree, g.out_degree)
+    assert len(builds) == 2
+    p = pagerank(h)
+    assert len(builds) == 3
+    assert p is not ranking.pagerank
+    assert np.array_equal(p.probabilities, ranking.pagerank.probabilities)
+    assert pagerank(g) is ranking.pagerank
+
+
+def test_threads_solving_one_graph_agree():
+    # threads that race one miss may each solve, but they get equal
+    # vectors, and the memo keeps one of them
+    g = bernoulli_graph(5, n=300, density=0.05)
+    reference = pagerank(bernoulli_graph(5, n=300, density=0.05))
+    results, errors = [], []
+
+    def solve():
+        try:
+            results.append(pagerank(g))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            threads = [threading.Thread(target=solve) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == [] and len(results) == 6
+            for r in results:
+                assert np.array_equal(r.probabilities, reference.probabilities)
+            assert any(r is pagerank(g) for r in results)
+            results.clear()
+            del r
+            gc.collect()
+            assert len(g._solves) == 0
+    finally:
+        sys.setswitchinterval(interval)

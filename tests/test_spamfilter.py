@@ -174,6 +174,17 @@ def test_filtered_cheirank_builds_no_graph(monkeypatch):
     assert _same_vector(res.cheirank, pagerank(filtered))
 
 
+def test_filtered_cheirank_takes_the_held_pagerank(builds):
+    g = synth_scale_free(2000, 2.1, 2.7, 7, links=12000)
+    ranking = TwoDRanking.compute(g)
+    builds.clear()
+    res = filtered_cheirank(g, FilterConfig(eta=10.0))
+    # the masked operator alone: the PageRank that chose the links is held
+    assert len(builds) == 1 and np.ndim(builds[0]) == 1
+    assert res.pagerank is ranking.pagerank
+    assert 0 < res.inverted_count < g.link_count
+
+
 def test_filtered_cheirank_rank_mode_runs(three_cycle):
     res = filtered_cheirank(three_cycle, FilterConfig(mode="rank", eta=0.5))
     assert res.cheirank is not None

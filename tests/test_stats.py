@@ -352,6 +352,19 @@ def test_matrix_render_matches_dense_oracle():
         assert render.raw == pytest.approx(permuted, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [[1, 1, 3], [0, 1, 2], [1, 2, 4], [2, 3, 3], [1, 2],
+                               [3, 1, 2, 4], [[1, 2, 3]]])
+def test_matrix_render_rejects_a_k_index_that_is_no_permutation(three_cycle, k):
+    with pytest.raises(ValueError, match=r"^k_index must be a permutation of 1\.\.node_count$"):
+        matrix_density_render(three_cycle, np.array(k), cells=2)
+
+
+def test_matrix_render_takes_any_permutation(three_cycle):
+    for k in ([3, 1, 2], [2, 3, 1], [1, 3, 2]):
+        render = matrix_density_render(three_cycle, np.array(k), cells=3)
+        assert render.coarse.values.sum() == pytest.approx(3, abs=1e-12)
+
+
 def test_matrix_render_clamps_raw_window(three_cycle):
     render = matrix_density_render(three_cycle, np.array([1, 2, 3]), cells=2,
                                    raw_window=50)

@@ -26,6 +26,9 @@ def test_round_trip_is_bit_exact():
     assert params["tol"] == 1e-10
     assert params["pagerank_iterations"] == ranking.pagerank.iterations_used
     assert params["cheirank_residual"] == ranking.cheirank.residual
+    # the table holds no residual history
+    assert back.pagerank.residual_history == back.cheirank.residual_history == ()
+    assert len(ranking.pagerank.residual_history) == ranking.pagerank.iterations_used
 
 
 def test_serialization_is_deterministic():
